@@ -159,8 +159,8 @@ void
 BM_CacheEvictLru(benchmark::State &state)
 {
     // Every access misses in a full set and evicts via exact LRU —
-    // isolates the victim-selection path (recency-list tail read vs.
-    // the historical per-set stamp scan).
+    // isolates the victim-selection path: the smallest of the set's
+    // touch stamps.
     hw::Cache cache("bench", {32 * 1024, 8, 64,
                               hw::ReplPolicy::lru},
                     Random(1));
@@ -176,6 +176,21 @@ BM_CacheEvictLru(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheEvictLru);
+
+void
+BM_CacheAccessNonPow2Sets(benchmark::State &state)
+{
+    // BM_CacheAccessStream on the Xeon 8259CL LLC: 53,248 sets, the
+    // one modelled level whose set index is a modulo, not a mask.
+    hw::Cache cache("bench", hw::MachineConfig::xeon8259cl().llc,
+                    Random(1));
+    Addr addr = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.access(addr, false));
+        addr += 64;
+    }
+}
+BENCHMARK(BM_CacheAccessNonPow2Sets);
 
 void
 BM_PmuAddEvents(benchmark::State &state)

@@ -15,23 +15,6 @@ Random::Random(std::uint64_t seed, std::uint64_t stream)
 }
 
 std::uint32_t
-Random::next32()
-{
-    std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
-    std::uint32_t xorshifted =
-        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
-}
-
-std::uint64_t
-Random::next64()
-{
-    return (static_cast<std::uint64_t>(next32()) << 32) | next32();
-}
-
-std::uint32_t
 Random::below(std::uint32_t bound)
 {
     if (bound == 0)
@@ -58,14 +41,6 @@ Random::between(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Random::uniform()
-{
-    // 53 random bits into [0, 1).
-    std::uint64_t bits = next64() >> 11;
-    return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
-}
-
-double
 Random::uniform(double lo, double hi)
 {
     return lo + (hi - lo) * uniform();
@@ -87,16 +62,6 @@ double
 Random::gaussian(double mean, double stddev)
 {
     return mean + stddev * gaussian();
-}
-
-bool
-Random::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 Random

@@ -1,161 +1,75 @@
 #include "cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
-#include "base/thread_safety.hh"
 
 namespace klebsim::hw
 {
 
 Cache::Cache(std::string name, const CacheGeometry &geom, Random rng)
-    : name_(std::move(name)), geom_(geom), numSets_(geom.sets()),
-      rng_(rng)
+    : geom_(geom), rng_(rng), name_(std::move(name))
 {
-    fatal_if(geom.lineSize == 0 || !isPowerOf2(geom.lineSize),
-             "cache ", name_, ": line size must be a power of two");
+    fatal_if(geom.lineSize < 2 || !isPowerOf2(geom.lineSize),
+             "cache ", name_,
+             ": line size must be a power of two >= 2");
     fatal_if(geom.ways == 0, "cache ", name_, ": needs >= 1 way");
+    numSets_ = geom.sets();
     fatal_if(numSets_ == 0 ||
                  numSets_ * geom.ways * geom.lineSize !=
                      geom.sizeBytes,
              "cache ", name_,
              ": size must be sets * ways * lineSize");
-    lines_.resize(numSets_ * geom.ways);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(geom.lineSize));
+    pow2Sets_ = isPowerOf2(numSets_);
+    ways_ = geom.ways;
+    stride_ = geom.policy == ReplPolicy::lru ? 2 * ways_ : ways_;
+    // Stamps start as emptyTag too: a stamp is read only once its
+    // set is full, and by then every way has been touched.
+    block_.assign(numSets_ * stride_, emptyTag);
     if (geom.policy == ReplPolicy::treePlru) {
         fatal_if(!isPowerOf2(geom.ways),
                  "cache ", name_, ": tree-PLRU needs pow2 ways");
         plru_.assign(numSets_ * geom.ways, 0);
     }
-
-    // Valid bitmask: all lines start invalid (bit clear); padding
-    // bits past `ways` in each set's last word stay permanently set
-    // so the first-zero-bit search never wanders into them.
-    validWordsPerSet_ = (geom.ways + 63) / 64;
-    validBits_.assign(numSets_ * validWordsPerSet_, 0);
-    const std::uint32_t tailBits = geom.ways % 64;
-    if (tailBits != 0) {
-        const std::uint64_t padding = ~0ULL << tailBits;
-        for (std::uint64_t s = 0; s < numSets_; ++s)
-            validBits_[s * validWordsPerSet_ +
-                       (validWordsPerSet_ - 1)] = padding;
-    }
-
-    if (geom.policy == ReplPolicy::lru) {
-        // Initial order is irrelevant (the LRU victim path only
-        // runs once every way has been filled — and touched — at
-        // least once); it just has to be a well-formed list.
-        mruNext_.resize(numSets_ * geom.ways);
-        mruPrev_.resize(numSets_ * geom.ways);
-        mruHead_.assign(numSets_, 0);
-        mruTail_.assign(numSets_, geom.ways - 1);
-        for (std::uint64_t s = 0; s < numSets_; ++s) {
-            const std::uint64_t base = s * geom.ways;
-            for (std::uint32_t w = 0; w < geom.ways; ++w) {
-                mruPrev_[base + w] = (w == 0) ? wayNone : w - 1;
-                mruNext_[base + w] =
-                    (w == geom.ways - 1) ? wayNone : w + 1;
-            }
-        }
-    }
-}
-
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    // Modulo indexing supports non-power-of-two set counts (e.g.
-    // Cascade Lake LLC slices).
-    return (addr / geom_.lineSize) % numSets_;
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return (addr / geom_.lineSize) / numSets_;
 }
 
 void
-Cache::markValid(std::uint64_t set, std::uint32_t way)
+Cache::touchPlru(std::uint64_t set, std::uint32_t way)
 {
-    validBits_[set * validWordsPerSet_ + way / 64] |=
-        1ULL << (way % 64);
-}
-
-void
-Cache::markInvalid(std::uint64_t set, std::uint32_t way)
-{
-    validBits_[set * validWordsPerSet_ + way / 64] &=
-        ~(1ULL << (way % 64));
-}
-
-std::uint32_t
-Cache::firstInvalidWay(std::uint64_t set) const
-{
-    const std::uint64_t *words =
-        &validBits_[set * validWordsPerSet_];
-    for (std::uint32_t i = 0; i < validWordsPerSet_; ++i) {
-        if (words[i] != ~0ULL)
-            return i * 64 +
-                   static_cast<std::uint32_t>(
-                       std::countr_one(words[i]));
-    }
-    return wayNone;
-}
-
-void
-Cache::touch(std::uint64_t set, std::uint32_t way)
-{
-    if (geom_.policy == ReplPolicy::lru) {
-        // Splice the way out of the recency list and relink it at
-        // the MRU head.
-        const std::uint64_t base = set * geom_.ways;
-        if (mruHead_[set] == way)
-            return; // already most recent
-        const std::uint32_t prev = mruPrev_[base + way];
-        const std::uint32_t next = mruNext_[base + way];
-        mruNext_[base + prev] = next; // prev != wayNone: not head
-        if (next != wayNone)
-            mruPrev_[base + next] = prev;
-        else
-            mruTail_[set] = prev;
-        const std::uint32_t oldHead = mruHead_[set];
-        mruPrev_[base + way] = wayNone;
-        mruNext_[base + way] = oldHead;
-        mruPrev_[base + oldHead] = way;
-        mruHead_[set] = way;
-    } else if (geom_.policy == ReplPolicy::treePlru) {
-        // Walk the tree from root to the touched way, pointing each
-        // node away from it.
-        std::uint8_t *bits = &plru_[set * geom_.ways];
-        std::uint32_t node = 1;
-        std::uint32_t lo = 0;
-        std::uint32_t hi = geom_.ways;
-        while (hi - lo > 1) {
-            std::uint32_t mid = (lo + hi) / 2;
-            if (way < mid) {
-                bits[node] = 1; // next victim search goes right
-                hi = mid;
-                node = 2 * node;
-            } else {
-                bits[node] = 0; // next victim search goes left
-                lo = mid;
-                node = 2 * node + 1;
-            }
+    // Walk the tree from root to the touched way, pointing each node
+    // away from it.
+    std::uint8_t *bits = &plru_[set * ways_];
+    std::uint32_t node = 1;
+    std::uint32_t lo = 0;
+    std::uint32_t hi = ways_;
+    while (hi - lo > 1) {
+        std::uint32_t mid = (lo + hi) / 2;
+        if (way < mid) {
+            bits[node] = 1; // next victim search goes right
+            hi = mid;
+            node = 2 * node;
+        } else {
+            bits[node] = 0; // next victim search goes left
+            lo = mid;
+            node = 2 * node + 1;
         }
     }
 }
 
 std::uint32_t
-Cache::victimWay(std::uint64_t set)
+Cache::victimWay(const Addr *tags, std::uint64_t set)
 {
     switch (geom_.policy) {
       case ReplPolicy::random:
-        return rng_.below(geom_.ways);
+        return rng_.below(ways_);
       case ReplPolicy::treePlru: {
-        std::uint8_t *bits = &plru_[set * geom_.ways];
+        const std::uint8_t *bits = &plru_[set * ways_];
         std::uint32_t node = 1;
         std::uint32_t lo = 0;
-        std::uint32_t hi = geom_.ways;
+        std::uint32_t hi = ways_;
         while (hi - lo > 1) {
             std::uint32_t mid = (lo + hi) / 2;
             if (bits[node]) {
@@ -169,80 +83,42 @@ Cache::victimWay(std::uint64_t set)
         return lo;
       }
       case ReplPolicy::lru:
-      default:
-        // A full set's least-recently-touched way is the list tail;
-        // with unique touch order this is exactly the way the old
-        // stamp-minimum scan would have picked.
-        return mruTail_[set];
-    }
-}
-
-KLEB_HOT bool
-Cache::access(Addr addr, bool write)
-{
-    (void)write; // no dirty-state modeling; writes allocate like reads
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Line *set_lines = &lines_[set * geom_.ways];
-
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if (set_lines[w].valid && set_lines[w].tag == tag) {
-            ++stats_.hits;
-            touch(set, w);
-            return true;
+      default: {
+        // Stamps are unique, so the smallest is the one way touched
+        // longest ago.  Selects rather than branches: which way is
+        // oldest is unpredictable.
+        const Addr *stamps = tags + ways_;
+        Addr oldest = stamps[0];
+        std::uint32_t victim = 0;
+        for (std::uint32_t w = 1; w < ways_; ++w) {
+            const bool older = stamps[w] < oldest;
+            oldest = older ? stamps[w] : oldest;
+            victim = older ? w : victim;
         }
+        return victim;
+      }
     }
-
-    ++stats_.misses;
-    std::uint32_t way = firstInvalidWay(set);
-    if (way == wayNone) {
-        way = victimWay(set);
-        ++stats_.evictions;
-    }
-    set_lines[way].valid = true;
-    set_lines[way].tag = tag;
-    markValid(set, way);
-    touch(set, way);
-    return false;
-}
-
-bool
-Cache::contains(Addr addr) const
-{
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    const Line *set_lines = &lines_[set * geom_.ways];
-    for (std::uint32_t w = 0; w < geom_.ways; ++w)
-        if (set_lines[w].valid && set_lines[w].tag == tag)
-            return true;
-    return false;
 }
 
 bool
 Cache::flushLine(Addr addr)
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Line *set_lines = &lines_[set * geom_.ways];
     ++stats_.flushes;
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if (set_lines[w].valid && set_lines[w].tag == tag) {
-            set_lines[w].valid = false;
-            markInvalid(set, w);
-            return true;
-        }
-    }
-    return false;
+    const Addr line = addr >> lineShift_;
+    Addr *tags = &block_[setOf(line) * stride_];
+    Addr *end = tags + ways_;
+    Addr *way = std::find(tags, end, line);
+    if (way == end)
+        return false;
+    *way = emptyTag;
+    return true;
 }
 
 void
 Cache::flushAll()
 {
-    for (Line &line : lines_)
-        line.valid = false;
     for (std::uint64_t s = 0; s < numSets_; ++s)
-        for (std::uint32_t w = 0; w < geom_.ways; ++w)
-            markInvalid(s, w);
+        std::fill_n(&block_[s * stride_], ways_, emptyTag);
 }
 
 void
@@ -255,9 +131,11 @@ std::uint64_t
 Cache::residentLines() const
 {
     std::uint64_t n = 0;
-    for (const Line &line : lines_)
-        if (line.valid)
-            ++n;
+    for (std::uint64_t s = 0; s < numSets_; ++s) {
+        const Addr *tags = &block_[s * stride_];
+        n += ways_ - static_cast<std::uint64_t>(
+                         std::count(tags, tags + ways_, emptyTag));
+    }
     return n;
 }
 

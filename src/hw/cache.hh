@@ -7,11 +7,14 @@
  * depends on its exact semantics (CLFLUSH invalidation + reload
  * timing), so every line-granular operation is modeled explicitly.
  *
- * Victim selection never scans the set.  Invalid ways are found via
- * a per-set valid bitmask (lowest invalid index first, matching the
- * historical linear scan); exact LRU keeps a per-set doubly linked
- * recency list of way indices so the victim is a single tail read
- * instead of a stamp-minimum sweep.
+ * A way's tag is its full line address (addr >> log2(lineSize)),
+ * which is unique within a set, so no lookup divides: the set index
+ * is a mask when the set count is a power of two and a modulo only
+ * otherwise.  Each set owns one stretch of a single per-cache block:
+ * its ways' tags, then (exact LRU only) their last-touch stamps.  An
+ * empty way holds a tag no line address can equal.  A miss fills
+ * the lowest empty way first; in a full set the LRU victim is the
+ * smallest stamp.
  */
 
 #ifndef KLEBSIM_HW_CACHE_HH
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "base/random.hh"
+#include "base/thread_safety.hh"
 #include "base/types.hh"
 
 namespace klebsim::hw
@@ -81,6 +85,7 @@ class Cache
     /**
      * @param name for diagnostics ("L1D", "LLC", ...)
      * @param geom geometry; size must be divisible by ways*lineSize
+     *        and the line size a power of two of at least 2 bytes
      * @param rng source for the random replacement policy
      */
     Cache(std::string name, const CacheGeometry &geom, Random rng);
@@ -94,10 +99,45 @@ class Cache
      * set is full).
      * @return true on hit.
      */
-    bool access(Addr addr, bool write);
+    KLEB_HOT bool
+    access(Addr addr, bool write)
+    {
+        (void)write; // no dirty-state modeling; writes allocate like reads
+        const Addr line = addr >> lineShift_;
+        const std::uint64_t set = setOf(line);
+        Addr *tags = &block_[set * stride_];
+        std::uint32_t way = ways_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (tags[w] == line) {
+                ++stats_.hits;
+                touch(tags, set, w);
+                return true;
+            }
+            if (tags[w] == emptyTag && way == ways_)
+                way = w;
+        }
+
+        ++stats_.misses;
+        if (way == ways_) {
+            way = victimWay(tags, set);
+            ++stats_.evictions;
+        }
+        tags[way] = line;
+        touch(tags, set, way);
+        return false;
+    }
 
     /** Residency probe without side effects (no fill, no LRU touch). */
-    bool contains(Addr addr) const;
+    bool
+    contains(Addr addr) const
+    {
+        const Addr line = addr >> lineShift_;
+        const Addr *tags = &block_[setOf(line) * stride_];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (tags[w] == line)
+                return true;
+        return false;
+    }
 
     /**
      * Invalidate the line containing @p addr (CLFLUSH semantics).
@@ -115,56 +155,52 @@ class Cache
     std::uint64_t residentLines() const;
 
   private:
-    struct Line
+    /**
+     * Tag of an empty way.  Line addresses are at most
+     * 2^63 - 1 because the line size is at least 2.
+     */
+    static constexpr Addr emptyTag = ~Addr(0);
+
+    std::uint64_t
+    setOf(Addr line) const
     {
-        bool valid = false;
-        Addr tag = 0;
-    };
+        return pow2Sets_ ? (line & (numSets_ - 1)) : line % numSets_;
+    }
 
-    /** "No way" sentinel for the recency-list links. */
-    static constexpr std::uint32_t wayNone = ~std::uint32_t(0);
+    /** Record a hit or fill of @p way in the set at @p tags. */
+    void
+    touch(Addr *tags, std::uint64_t set, std::uint32_t way)
+    {
+        if (geom_.policy == ReplPolicy::lru)
+            tags[ways_ + way] = ++lastStamp_;
+        else if (geom_.policy == ReplPolicy::treePlru)
+            touchPlru(set, way);
+    }
 
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    /** Point the set's PLRU tree away from @p way. */
+    void touchPlru(std::uint64_t set, std::uint32_t way);
 
-    /** Way to evict in @p set (policy-dependent; set must be full). */
-    std::uint32_t victimWay(std::uint64_t set);
+    /** Way to evict from the full set at @p tags (policy-dependent). */
+    std::uint32_t victimWay(const Addr *tags, std::uint64_t set);
 
-    /**
-     * Lowest-index invalid way in @p set, or wayNone when full.
-     * Matches the historical invalid-first linear scan exactly.
-     */
-    std::uint32_t firstInvalidWay(std::uint64_t set) const;
-
-    /** Update recency metadata on a hit/fill. */
-    void touch(std::uint64_t set, std::uint32_t way);
-
-    /** @{ valid bitmask bookkeeping (padding bits are kept set). */
-    void markValid(std::uint64_t set, std::uint32_t way);
-    void markInvalid(std::uint64_t set, std::uint32_t way);
-    /** @} */
-
-    std::string name_;
-    CacheGeometry geom_;
-    std::uint64_t numSets_;
-    std::vector<Line> lines_;        //!< numSets_ * ways
-    std::vector<std::uint8_t> plru_; //!< tree bits per set
+    unsigned lineShift_ = 0;
+    bool pow2Sets_ = false;
+    std::uint32_t ways_ = 0;
+    std::uint32_t stride_ = 0; //!< block words per set
+    std::uint64_t numSets_ = 0;
 
     /**
-     * @{ Exact-LRU recency list (lru policy only): per-set doubly
-     * linked list over way indices, MRU at head, victim at tail.
+     * numSets_ * stride_ words, one allocation: per set, ways_ tags
+     * then (lru only) ways_ touch stamps.
      */
-    std::vector<std::uint32_t> mruNext_; //!< numSets_ * ways
-    std::vector<std::uint32_t> mruPrev_; //!< numSets_ * ways
-    std::vector<std::uint32_t> mruHead_; //!< per set
-    std::vector<std::uint32_t> mruTail_; //!< per set
-    /** @} */
-
-    std::uint32_t validWordsPerSet_;
-    std::vector<std::uint64_t> validBits_; //!< numSets_ * wordsPerSet
-
-    Random rng_;
+    std::vector<Addr> block_;
+    std::uint64_t lastStamp_ = 0;
     CacheStats stats_;
+
+    CacheGeometry geom_;
+    std::vector<std::uint8_t> plru_; //!< tree bits per set
+    Random rng_;
+    std::string name_;
 };
 
 } // namespace klebsim::hw

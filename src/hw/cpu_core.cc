@@ -184,7 +184,7 @@ CpuCore::modelChunk(const WorkChunk &chunk, bool batched)
                                               cfg_.memSampleCap);
             // Hoisted out of the sampled loop: the config is const
             // for the core's lifetime, but the compiler can't prove
-            // that across the opaque mem_.access call.
+            // that across the stores of the inlined cache walk.
             const std::uint32_t l1Lat = lat.l1;
             // L2 hits are almost entirely hidden by the out-of-order
             // window; deeper misses expose their full latency beyond
@@ -460,14 +460,16 @@ CpuCore::charge(const ChargeSpec &spec)
         std::uint64_t l1_miss = 0, l2_miss = 0, llc_ref = 0,
                       llc_miss = 0;
         const Addr lineSize = cfg_.l1d.lineSize;
+        // Stride across the footprint; rotate the start so repeated
+        // charges revisit the same lines (a warm working set) while
+        // still walking all of it over time.  The cursor may predate
+        // a smaller footprint, hence the one modulo.
+        std::uint64_t line = kernelScratchCursor_ % lines;
         for (std::uint64_t i = 0; i < touched; ++i) {
-            // Stride across the footprint; rotate the start so
-            // repeated charges revisit the same lines (a warm
-            // working set) while still walking all of it over time.
-            Addr a = base +
-                     ((kernelScratchCursor_ + i) % lines) * lineSize;
-            AccessOutcome out =
-                mem_.accessNonTemporal(a, (i % 8) == 0);
+            AccessOutcome out = mem_.accessNonTemporal(
+                base + line * lineSize, (i % 8) == 0);
+            if (++line == lines)
+                line = 0;
             if (out.l1Miss)
                 ++l1_miss;
             if (out.l2Miss)
@@ -477,8 +479,7 @@ CpuCore::charge(const ChargeSpec &spec)
             if (out.llcMiss)
                 ++llc_miss;
         }
-        kernelScratchCursor_ =
-            (kernelScratchCursor_ + touched) % lines;
+        kernelScratchCursor_ = line;
         double scale = static_cast<double>(
                            std::min<std::uint64_t>(lines, mem_ops)) /
                        static_cast<double>(touched);

@@ -14,70 +14,6 @@ MemHierarchy::MemHierarchy(const MachineConfig &cfg, Cache *shared_llc,
 }
 
 AccessOutcome
-MemHierarchy::access(Addr addr, bool write)
-{
-    AccessOutcome out;
-    const MemLatency &lat = cfg_.latency;
-
-    if (l1_.access(addr, write)) {
-        out.level = MemLevel::l1;
-        out.cycles = lat.l1;
-        return out;
-    }
-    out.l1Miss = true;
-
-    if (l2_.access(addr, write)) {
-        out.level = MemLevel::l2;
-        out.cycles = lat.l2;
-        return out;
-    }
-    out.l2Miss = true;
-    out.llcRef = true;
-
-    if (llc_->access(addr, write)) {
-        out.level = MemLevel::llc;
-        out.cycles = lat.llc;
-        return out;
-    }
-    out.llcMiss = true;
-    out.level = MemLevel::dram;
-    out.cycles = lat.dram;
-    return out;
-}
-
-AccessOutcome
-MemHierarchy::accessNonTemporal(Addr addr, bool write)
-{
-    AccessOutcome out;
-    const MemLatency &lat = cfg_.latency;
-
-    if (l1_.access(addr, write)) {
-        out.level = MemLevel::l1;
-        out.cycles = lat.l1;
-        return out;
-    }
-    out.l1Miss = true;
-
-    // Probe deeper levels for latency without allocating there.
-    if (l2_.contains(addr)) {
-        out.level = MemLevel::l2;
-        out.cycles = lat.l2;
-        return out;
-    }
-    out.l2Miss = true;
-    out.llcRef = true;
-    if (llc_->contains(addr)) {
-        out.level = MemLevel::llc;
-        out.cycles = lat.llc;
-        return out;
-    }
-    out.llcMiss = true;
-    out.level = MemLevel::dram;
-    out.cycles = lat.dram;
-    return out;
-}
-
-AccessOutcome
 MemHierarchy::clflush(Addr addr)
 {
     AccessOutcome out;

@@ -59,7 +59,37 @@ class MemHierarchy
                  Random rng);
 
     /** Issue one load/store at @p addr. */
-    AccessOutcome access(Addr addr, bool write);
+    AccessOutcome
+    access(Addr addr, bool write)
+    {
+        AccessOutcome out;
+        const MemLatency &lat = cfg_.latency;
+
+        if (l1_.access(addr, write)) {
+            out.level = MemLevel::l1;
+            out.cycles = lat.l1;
+            return out;
+        }
+        out.l1Miss = true;
+
+        if (l2_.access(addr, write)) {
+            out.level = MemLevel::l2;
+            out.cycles = lat.l2;
+            return out;
+        }
+        out.l2Miss = true;
+        out.llcRef = true;
+
+        if (llc_->access(addr, write)) {
+            out.level = MemLevel::llc;
+            out.cycles = lat.llc;
+            return out;
+        }
+        out.llcMiss = true;
+        out.level = MemLevel::dram;
+        out.cycles = lat.dram;
+        return out;
+    }
 
     /**
      * Issue an access that allocates in L1 only (non-temporal
@@ -69,7 +99,37 @@ class MemHierarchy
      * inserting them into L2/LLC would be amplified out of
      * proportion by the chunk engine's access sampling.
      */
-    AccessOutcome accessNonTemporal(Addr addr, bool write);
+    AccessOutcome
+    accessNonTemporal(Addr addr, bool write)
+    {
+        AccessOutcome out;
+        const MemLatency &lat = cfg_.latency;
+
+        if (l1_.access(addr, write)) {
+            out.level = MemLevel::l1;
+            out.cycles = lat.l1;
+            return out;
+        }
+        out.l1Miss = true;
+
+        // Probe deeper levels for latency without allocating there.
+        if (l2_.contains(addr)) {
+            out.level = MemLevel::l2;
+            out.cycles = lat.l2;
+            return out;
+        }
+        out.l2Miss = true;
+        out.llcRef = true;
+        if (llc_->contains(addr)) {
+            out.level = MemLevel::llc;
+            out.cycles = lat.llc;
+            return out;
+        }
+        out.llcMiss = true;
+        out.level = MemLevel::dram;
+        out.cycles = lat.dram;
+        return out;
+    }
 
     /**
      * CLFLUSH @p addr: evict the line from every level.

@@ -38,13 +38,9 @@ TEST(Cache, MissThenHit)
 TEST(Cache, LruEviction)
 {
     Cache c("t", smallGeom(), Random(1));
-    // Three lines mapping to set 0 (line addr multiples of 4*64).
-    Addr a = 0 * 256, b = 1 * 256 + 0x10000, d = 2 * 256 + 0x20000;
-    // All map to set 0? setIndex = (addr/64) % 4.
-    // a: 0, b: (0x10000/64 + 4) % 4 = 0 ... choose directly:
-    a = 0;
-    b = 4 * 64;  // set 0, different tag
-    d = 8 * 64;  // set 0, different tag
+    // Three lines in set 0: line addresses 0, 4 and 8, and the set
+    // is the line address modulo the 4 sets.
+    const Addr a = 0, b = 4 * 64, d = 8 * 64;
     c.access(a, false);
     c.access(b, false);
     c.access(a, false);        // a most recent
@@ -169,4 +165,12 @@ TEST(CacheDeath, BadGeometry)
     EXPECT_DEATH(Cache("t", {100, 2, 64, ReplPolicy::lru},
                        Random(1)),
                  "size");
+}
+
+TEST(CacheDeath, LineSizeBelowTwo)
+{
+    // A 1-byte line would make every address a line address,
+    // including the empty-way tag.
+    EXPECT_DEATH(Cache("t", {64, 1, 1, ReplPolicy::lru}, Random(1)),
+                 "line size");
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "hw/machine_config.hh"
 #include "hw/mem_hierarchy.hh"
 
@@ -9,8 +12,22 @@ using namespace klebsim::hw;
 namespace
 {
 
-class MachinePreset
-    : public ::testing::TestWithParam<MachineConfig (*)()>
+struct Preset
+{
+    const char *name;
+    MachineConfig (*make)();
+};
+
+// Print a preset by name. The default printer would show the function
+// pointer's address, which moves with every build and load, and the
+// printed value is part of each test's discovered ctest name.
+void
+PrintTo(const Preset &preset, std::ostream *os)
+{
+    *os << preset.name;
+}
+
+class MachinePreset : public ::testing::TestWithParam<Preset>
 {
 };
 
@@ -18,7 +35,7 @@ class MachinePreset
 
 TEST_P(MachinePreset, GeometryIsConsistent)
 {
-    MachineConfig cfg = GetParam()();
+    MachineConfig cfg = GetParam().make();
     for (const CacheGeometry *g : {&cfg.l1d, &cfg.l2, &cfg.llc}) {
         EXPECT_GT(g->sets(), 0u);
         EXPECT_EQ(g->sets() * g->ways * g->lineSize, g->sizeBytes);
@@ -37,7 +54,7 @@ TEST_P(MachinePreset, GeometryIsConsistent)
 
 TEST_P(MachinePreset, CachesConstructAndOperate)
 {
-    MachineConfig cfg = GetParam()();
+    MachineConfig cfg = GetParam().make();
     Cache llc("LLC", cfg.llc, Random(1));
     MemHierarchy mem(cfg, &llc, Random(2));
     AccessOutcome cold = mem.access(0x1234000, false);
@@ -48,12 +65,10 @@ TEST_P(MachinePreset, CachesConstructAndOperate)
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, MachinePreset,
-    ::testing::Values(&MachineConfig::corei7_920,
-                      &MachineConfig::xeon8259cl),
-    [](const ::testing::TestParamInfo<MachineConfig (*)()> &info) {
-        return info.param == &MachineConfig::corei7_920
-                   ? "corei7_920"
-                   : "xeon8259cl";
+    ::testing::Values(Preset{"corei7_920", &MachineConfig::corei7_920},
+                      Preset{"xeon8259cl", &MachineConfig::xeon8259cl}),
+    [](const ::testing::TestParamInfo<Preset> &info) {
+        return std::string(info.param.name);
     });
 
 TEST(MachineConfig, PresetsDiffer)

@@ -213,8 +213,11 @@ BENCHMARK(BM_PmuAddEvents);
 void
 BM_ChunkExecution(benchmark::State &state)
 {
-    // End-to-end cost of simulating one 100k-instruction chunk
-    // through scheduler + chunk engine (dominant bench cost).
+    // Arg streamless 100k-instruction compute chunks through the
+    // scheduler and the chunk engine: per-chunk cost model, queueing
+    // and pro-rata attribution, with no sampled cache walk.  No paper
+    // bench is dominated by this shape; the walk (BM_ChunkBatched)
+    // is what the benches spend their time in.
     for (auto _ : state) {
         state.PauseTiming();
         kernel::System sys;
@@ -234,14 +237,10 @@ BENCHMARK(BM_ChunkExecution)->Arg(16)->Arg(256);
 void
 BM_ChunkBatched(benchmark::State &state)
 {
-    // Streamed (memory-sampling) chunk through the chunk engine:
-    // Arg 1 = batched SoA fill path (one virtual fillBatch call per
-    // chunk), Arg 0 = the retained reference interpreter (one
-    // virtual next() per sampled access).  The pair quantifies the
-    // dispatch cost the SoA lanes remove; both produce bit-identical
-    // counts (ChunkEngineEquivalence pins that).
+    // 64 streamed (memory-sampling) chunks through the chunk engine:
+    // one virtual fillBatch call per chunk fills the SoA lanes, and
+    // the sampled cache walk reads them as plain arrays.
     hw::MachineConfig cfg = hw::MachineConfig::corei7_920();
-    cfg.batchedChunkEngine = state.range(0) != 0;
     workload::MemPatternSpec pat =
         workload::MemPatternSpec::randomUniform(64 * 1024 * 1024);
     std::uint64_t ticks = 0;
@@ -278,7 +277,7 @@ BM_ChunkBatched(benchmark::State &state)
     benchmark::DoNotOptimize(ticks);
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_ChunkBatched)->Arg(0)->Arg(1);
+BENCHMARK(BM_ChunkBatched);
 
 void
 BM_FleetParallelPhase1(benchmark::State &state)

@@ -104,6 +104,17 @@ probStr(double p)
     return csprintf("%g", p);
 }
 
+/**
+ * One "key=value" spec entry, concatenated left to right: GCC 12
+ * reports a false -Wrestrict on `const char * + std::string`
+ * temporaries.
+ */
+std::string
+specEntry(FaultPoint point, const std::string &value)
+{
+    return std::string(faultPointKey(point)) + '=' + value;
+}
+
 bool
 fail(std::string *error, const std::string &message)
 {
@@ -298,11 +309,11 @@ FaultPlan::str() const
         parts.push_back(csprintf("seed=%llu",
                                  (unsigned long long)seed));
     if (timerMissProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::timerMiss) +
-                        ("=" + probStr(timerMissProb)));
+        parts.push_back(specEntry(FaultPoint::timerMiss,
+                                  probStr(timerMissProb)));
     if (timerSpikeProb > 0.0) {
-        parts.push_back(faultPointKey(FaultPoint::timerSpike) +
-                        ("=" + probStr(timerSpikeProb)));
+        parts.push_back(specEntry(FaultPoint::timerSpike,
+                                  probStr(timerSpikeProb)));
         parts.push_back("timer.spike.us=" +
                         probStr(ticksToUs(timerSpikeLateness)));
     }
@@ -311,14 +322,14 @@ FaultPlan::str() const
                                  faultPointKey(FaultPoint::counterWidth),
                                  counterWidth));
     if (ioctlFailProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::ioctlFail) +
-                        ("=" + probStr(ioctlFailProb)));
+        parts.push_back(specEntry(FaultPoint::ioctlFail,
+                                  probStr(ioctlFailProb)));
     if (readFailProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::readFail) +
-                        ("=" + probStr(readFailProb)));
+        parts.push_back(specEntry(FaultPoint::readFail,
+                                  probStr(readFailProb)));
     if (readerStall > 0) {
-        parts.push_back(faultPointKey(FaultPoint::readerStall) +
-                        ("=" + durationStr(readerStall)));
+        parts.push_back(specEntry(FaultPoint::readerStall,
+                                  durationStr(readerStall)));
         if (readerStallProb < 1.0)
             parts.push_back("reader.stall.p=" +
                             probStr(readerStallProb));
@@ -328,14 +339,14 @@ FaultPlan::str() const
             "%s=%d", faultPointKey(FaultPoint::moduleInitFail),
             moduleInitFails));
     if (targetCrashAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::targetCrash) +
-                        ("=" + durationStr(targetCrashAt)));
+        parts.push_back(specEntry(FaultPoint::targetCrash,
+                                  durationStr(targetCrashAt)));
     if (controllerCrashAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::controllerCrash) +
-                        ("=" + durationStr(controllerCrashAt)));
+        parts.push_back(specEntry(FaultPoint::controllerCrash,
+                                  durationStr(controllerCrashAt)));
     if (controllerHangAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::controllerHang) +
-                        ("=" + durationStr(controllerHangAt)));
+        parts.push_back(specEntry(FaultPoint::controllerHang,
+                                  durationStr(controllerHangAt)));
     if (logTornTailBytes != 0)
         parts.push_back(csprintf(
             "%s=%llu", faultPointKey(FaultPoint::logTornTail),
@@ -345,43 +356,43 @@ FaultPlan::str() const
             "%s=%d", faultPointKey(FaultPoint::logBitflip),
             logBitflips));
     if (setPeriodFailProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::setPeriodFail) +
-                        ("=" + probStr(setPeriodFailProb)));
+        parts.push_back(specEntry(FaultPoint::setPeriodFail,
+                                  probStr(setPeriodFailProb)));
     if (reprogramCrashNth > 0)
         parts.push_back(csprintf(
             "%s=%d", faultPointKey(FaultPoint::reprogramCrash),
             reprogramCrashNth));
     if (cpuOfflineAt != 0) {
-        parts.push_back(faultPointKey(FaultPoint::cpuOffline) +
-                        ("=" + durationStr(cpuOfflineAt)));
+        parts.push_back(specEntry(FaultPoint::cpuOffline,
+                                  durationStr(cpuOfflineAt)));
         if (cpuOfflineCore != 0)
             parts.push_back(csprintf("cpu.offline.core=%d",
                                      cpuOfflineCore));
     }
     if (cpuOnlineAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::cpuOnline) +
-                        ("=" + durationStr(cpuOnlineAt)));
+        parts.push_back(specEntry(FaultPoint::cpuOnline,
+                                  durationStr(cpuOnlineAt)));
     if (taskMigrateEvery != 0)
-        parts.push_back(faultPointKey(FaultPoint::taskMigrate) +
-                        ("=" + durationStr(taskMigrateEvery)));
+        parts.push_back(specEntry(FaultPoint::taskMigrate,
+                                  durationStr(taskMigrateEvery)));
     if (pmuContendProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::pmuContend) +
-                        ("=" + probStr(pmuContendProb)));
+        parts.push_back(specEntry(FaultPoint::pmuContend,
+                                  probStr(pmuContendProb)));
     if (machineCrashProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::machineCrash) +
-                        ("=" + probStr(machineCrashProb)));
+        parts.push_back(specEntry(FaultPoint::machineCrash,
+                                  probStr(machineCrashProb)));
     if (linkDropProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::linkDrop) +
-                        ("=" + probStr(linkDropProb)));
+        parts.push_back(specEntry(FaultPoint::linkDrop,
+                                  probStr(linkDropProb)));
     if (linkDelayProb > 0.0) {
-        parts.push_back(faultPointKey(FaultPoint::linkDelay) +
-                        ("=" + probStr(linkDelayProb)));
+        parts.push_back(specEntry(FaultPoint::linkDelay,
+                                  probStr(linkDelayProb)));
         parts.push_back("link.delay.by=" +
                         durationStr(linkDelayBy));
     }
     if (collectorCrashAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::collectorCrash) +
-                        ("=" + durationStr(collectorCrashAt)));
+        parts.push_back(specEntry(FaultPoint::collectorCrash,
+                                  durationStr(collectorCrashAt)));
     return join(parts, ";");
 }
 

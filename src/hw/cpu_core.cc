@@ -23,74 +23,10 @@ CpuCore::CpuCore(CoreId id, const MachineConfig &cfg,
       refClock_(cfg.refFreqHz), rng_(rng),
       mem_(cfg, shared_llc, rng_.fork(0x1000 + id)), ctx_(nullptr),
       attributedUpTo_(0), busyTime_(0), kernelScratchCursor_(0),
-      laneAddr_(cfg.memSampleCap), laneWrite_(cfg.memSampleCap)
+      memSampleCap_(cfg.memSampleCap), laneAddr_(memSampleCap_),
+      laneWrite_(memSampleCap_)
 {
     msrs_.attach(&pmu_);
-}
-
-bool
-CpuCore::ChunkCostTable::Entry::matches(
-    const WorkChunk &c, const MachineConfig &cfg) const
-{
-    return instructions == c.instructions && loads == c.loads &&
-           stores == c.stores && branches == c.branches &&
-           muls == c.muls && divs == c.divs && fpops == c.fpops &&
-           fixedCycles == c.fixedCycles &&
-           mispredictRate == c.mispredictRate &&
-           baseIpc == c.baseIpc &&
-           stallExposureScale == c.stallExposureScale &&
-           branchMispredictPenalty ==
-               cfg.pipeline.branchMispredictPenalty &&
-           memStallExposure == cfg.pipeline.memStallExposure &&
-           coreFreqHz == cfg.coreFreqHz &&
-           refFreqHz == cfg.refFreqHz;
-}
-
-const CpuCore::ChunkCostTable::Entry *
-CpuCore::ChunkCostTable::find(const WorkChunk &c,
-                              const MachineConfig &cfg) const
-{
-    const Entry &hot = entries[lastHit];
-    if (hot.valid && hot.matches(c, cfg))
-        return &hot;
-    for (std::size_t i = 0; i < capacity; ++i) {
-        const Entry &e = entries[i];
-        if (e.valid && e.matches(c, cfg)) {
-            lastHit = i;
-            return &e;
-        }
-    }
-    return nullptr;
-}
-
-const CpuCore::ChunkCostTable::Entry *
-CpuCore::ChunkCostTable::store(const WorkChunk &c,
-                               const MachineConfig &cfg,
-                               const ExecContext::Prepared &p)
-{
-    Entry &e = entries[nextVictim];
-    lastHit = nextVictim;
-    nextVictim = (nextVictim + 1) % capacity;
-    ++generation;
-    e.valid = true;
-    e.instructions = c.instructions;
-    e.loads = c.loads;
-    e.stores = c.stores;
-    e.branches = c.branches;
-    e.muls = c.muls;
-    e.divs = c.divs;
-    e.fpops = c.fpops;
-    e.fixedCycles = c.fixedCycles;
-    e.mispredictRate = c.mispredictRate;
-    e.baseIpc = c.baseIpc;
-    e.stallExposureScale = c.stallExposureScale;
-    e.branchMispredictPenalty =
-        cfg.pipeline.branchMispredictPenalty;
-    e.memStallExposure = cfg.pipeline.memStallExposure;
-    e.coreFreqHz = cfg.coreFreqHz;
-    e.refFreqHz = cfg.refFreqHz;
-    e.result = p;
-    return &e;
 }
 
 std::uint64_t
@@ -123,43 +59,6 @@ CpuCore::detachContext()
 ExecContext::Prepared
 CpuCore::executeChunk(const WorkChunk &chunk)
 {
-    if (!cfg_.batchedChunkEngine) {
-        // Reference interpreter: one cost-model evaluation per
-        // chunk, one virtual stream call per sampled access.
-        lastPrepEntry_ = nullptr;
-        return modelChunk(chunk, /*batched=*/false);
-    }
-
-    // Streamless chunks touch no shared state; serve repeats from
-    // the compiled cost table (priv/flops pass straight through —
-    // they don't feed the cost model).
-    const bool memoizable =
-        !chunk.preExecuted &&
-        (chunk.stream == nullptr || chunk.loads + chunk.stores == 0);
-    if (memoizable) {
-        if (const ChunkCostTable::Entry *e =
-                costTable_.find(chunk, cfg_)) {
-            lastPrepEntry_ = e;
-            lastPrepGen_ = costTable_.generation;
-            ExecContext::Prepared p = e->result;
-            p.priv = chunk.priv;
-            p.flops = chunk.flops;
-            return p;
-        }
-    }
-    ExecContext::Prepared p = modelChunk(chunk, /*batched=*/true);
-    if (memoizable) {
-        lastPrepEntry_ = costTable_.store(chunk, cfg_, p);
-        lastPrepGen_ = costTable_.generation;
-    } else {
-        lastPrepEntry_ = nullptr;
-    }
-    return p;
-}
-
-ExecContext::Prepared
-CpuCore::modelChunk(const WorkChunk &chunk, bool batched)
-{
     ExecContext::Prepared p;
     p.priv = chunk.priv;
     p.flops = chunk.flops;
@@ -180,8 +79,7 @@ CpuCore::modelChunk(const WorkChunk &chunk, bool batched)
         std::uint64_t sampled_stall = 0;
         std::uint64_t sampled = 0;
         if (mem_ops > 0 && chunk.stream != nullptr) {
-            sampled = std::min<std::uint64_t>(mem_ops,
-                                              cfg_.memSampleCap);
+            sampled = std::min<std::uint64_t>(mem_ops, memSampleCap_);
             // Hoisted out of the sampled loop: the config is const
             // for the core's lifetime, but the compiler can't prove
             // that across the stores of the inlined cache walk.
@@ -191,31 +89,15 @@ CpuCore::modelChunk(const WorkChunk &chunk, bool batched)
             // L1.
             const std::uint32_t l2HiddenStall =
                 (lat.l2 - lat.l1) / 12;
-            AddressStream &stream = *chunk.stream;
-            const Addr *addrs = nullptr;
-            const std::uint8_t *writes = nullptr;
-            if (batched) {
-                // One virtual call fills both SoA lanes; the walk
-                // below then reads contiguous plain arrays.  The
-                // lanes are sized memSampleCap at construction and
-                // sampled never exceeds it.
-                stream.fillBatch(laneAddr_.data(),
-                                 laneWrite_.data(), sampled);
-                addrs = laneAddr_.data();
-                writes = laneWrite_.data();
-            }
+            // One virtual call fills both SoA lanes; the walk below
+            // then reads contiguous plain arrays.  The lane pointers
+            // are hoisted for the same reason as the latencies.
+            Addr *addrs = laneAddr_.data();
+            std::uint8_t *writes = laneWrite_.data();
+            chunk.stream->fillBatch(addrs, writes, sampled);
             for (std::uint64_t i = 0; i < sampled; ++i) {
-                Addr a;
-                bool w;
-                if (batched) {
-                    a = addrs[i];
-                    w = writes[i] != 0;
-                } else {
-                    MemRef ref = stream.next();
-                    a = ref.addr;
-                    w = ref.write;
-                }
-                AccessOutcome out = mem_.access(a, w);
+                AccessOutcome out =
+                    mem_.access(addrs[i], writes[i] != 0);
                 if (out.l1Miss) {
                     ++l1_miss;
                     std::uint32_t extra = out.cycles - l1Lat;
@@ -295,51 +177,9 @@ CpuCore::prepare(Tick horizon)
             break;
         }
         WorkChunk chunk = ctx.source_->nextChunk(mem_);
-
-        // Run coalescing (batched engine): a run of identical
-        // streamless flops-free chunks folds into one Prepared with
-        // k-fold duration and events.  Pro-rata integer attribution
-        // of the merged record is bit-identical to attributing the
-        // k units separately — floor(kE*t/(kD)) == floor(E*t/D) at
-        // every tick t, even mid-run — so PMU reads, timeslice
-        // boundaries, and CSVs cannot observe the merge.  flops are
-        // excluded because double accumulation does not telescope.
-        const bool coalescible =
-            cfg_.batchedChunkEngine && !chunk.preExecuted &&
-            (chunk.stream == nullptr ||
-             chunk.loads + chunk.stores == 0) &&
-            chunk.flops == 0.0;
         ExecContext::Prepared p = executeChunk(chunk);
         ctx.ahead_ += p.duration;
-        bool merge = false;
-        if (coalescible && ctx.backMergeable_ &&
-            !ctx.queue_.empty() && ctx.backUnitPriv_ == p.priv) {
-            // Entry-identity fast path: same compiled entry, same
-            // table generation -> the result bytes are the unit's
-            // by construction.  Falls back to the field compare
-            // after migration or eviction.
-            merge = (lastPrepEntry_ != nullptr &&
-                     ctx.backUnitEntry_ == lastPrepEntry_ &&
-                     ctx.backUnitGen_ == lastPrepGen_) ||
-                    (ctx.backUnitDuration_ == p.duration &&
-                     ctx.backUnitEvents_ == p.events);
-        }
-        if (merge) {
-            ExecContext::Prepared &back = ctx.queue_.back();
-            back.duration += p.duration;
-            for (std::size_t i = 0; i < numHwEvents; ++i)
-                back.events[i] += p.events[i];
-        } else {
-            ctx.backMergeable_ = coalescible;
-            if (coalescible) {
-                ctx.backUnitDuration_ = p.duration;
-                ctx.backUnitEvents_ = p.events;
-                ctx.backUnitPriv_ = p.priv;
-                ctx.backUnitEntry_ = lastPrepEntry_;
-                ctx.backUnitGen_ = lastPrepGen_;
-            }
-            ctx.queue_.push_back(std::move(p));
-        }
+        ctx.queue_.push_back(std::move(p));
         if (ctx.source_->done())
             ctx.sourceDone_ = true;
     }
@@ -408,9 +248,6 @@ CpuCore::syncTo(Tick now)
             ctx.frontAttributed_ = 0;
             ctx.frontCredited_ = zeroEvents();
             ctx.frontFlopsCredited_ = 0.0;
-            // The retired chunk may have been the coalescing tail.
-            if (ctx.queue_.empty())
-                ctx.backMergeable_ = false;
         }
     }
     attributedUpTo_ = now;
@@ -456,7 +293,7 @@ CpuCore::charge(const ChargeSpec &spec)
                    static_cast<Addr>(id_) * kernelScratchStride;
         }
         std::uint64_t touched =
-            std::min<std::uint64_t>(lines, cfg_.memSampleCap);
+            std::min<std::uint64_t>(lines, memSampleCap_);
         std::uint64_t l1_miss = 0, l2_miss = 0, llc_ref = 0,
                       llc_miss = 0;
         const Addr lineSize = cfg_.l1d.lineSize;

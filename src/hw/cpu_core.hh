@@ -23,7 +23,6 @@
 #ifndef KLEBSIM_HW_CPU_CORE_HH
 #define KLEBSIM_HW_CPU_CORE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -129,93 +128,12 @@ class CpuCore
 
   private:
     /**
-     * Compiled cost table for streamless chunks.  A chunk that
-     * performs no memory accesses (no stream, or loads+stores == 0)
-     * is a pure function of its own fields plus the cost-model
-     * configuration — no cache state, no RNG — so workload phases
-     * that emit runs of identical compute chunks pay the cost model
-     * once per (phase, cost class) instead of once per chunk.
-     *
-     * Multiple entries (round-robin eviction) keep phase boundaries
-     * cheap: a workload ping-ponging between phases — or a kernel
-     * interleaving instrumentation chunks with compute — holds every
-     * live cost class at once, where the old one-entry memo thrashed
-     * on each alternation.  Entries also fingerprint the config
-     * parameters the cost model reads (mispredict penalty, stall
-     * exposure, both clock frequencies), so a mutated machine
-     * description can never serve a stale cost — the stale-memo bug
-     * class pinned by tests/hw/test_chunk_cache.cc.
-     */
-    struct ChunkCostTable
-    {
-        struct Entry
-        {
-            bool valid = false;
-
-            /** @{ Chunk cost signature. */
-            std::uint64_t instructions = 0;
-            std::uint64_t loads = 0;
-            std::uint64_t stores = 0;
-            std::uint64_t branches = 0;
-            std::uint64_t muls = 0;
-            std::uint64_t divs = 0;
-            std::uint64_t fpops = 0;
-            std::uint64_t fixedCycles = 0;
-            double mispredictRate = 0.0;
-            double baseIpc = 0.0;
-            double stallExposureScale = 0.0;
-            /** @} */
-
-            /** @{ Cost-model configuration fingerprint. */
-            std::uint32_t branchMispredictPenalty = 0;
-            double memStallExposure = 0.0;
-            double coreFreqHz = 0.0;
-            double refFreqHz = 0.0;
-            /** @} */
-
-            ExecContext::Prepared result;
-
-            bool matches(const WorkChunk &c,
-                         const MachineConfig &cfg) const;
-        };
-
-        static constexpr std::size_t capacity = 8;
-        std::array<Entry, capacity> entries;
-        std::size_t nextVictim = 0;
-
-        /**
-         * Bumped on every store; an (entry pointer, generation)
-         * pair identifies one compiled result for the lifetime of
-         * the table, surviving round-robin eviction.
-         */
-        std::uint64_t generation = 0;
-
-        /** Hot hint: phases hit the same entry in long runs. */
-        mutable std::size_t lastHit = 0;
-
-        const Entry *find(const WorkChunk &c,
-                          const MachineConfig &cfg) const;
-        const Entry *store(const WorkChunk &c,
-                           const MachineConfig &cfg,
-                           const ExecContext::Prepared &p);
-    };
-
-    /**
-     * Run one chunk's accesses + cost model into a Prepared record.
-     * Dispatches to the cost table + SoA batch fast path or, with
-     * cfg_.batchedChunkEngine off, to the retained per-access
-     * reference interpreter; both are bit-identical by the 16-seed
-     * equivalence sweep.
-     */
-    ExecContext::Prepared executeChunk(const WorkChunk &chunk);
-
-    /**
-     * The shared cost model: sample the chunk's accesses (batched
-     * SoA lanes or per-access virtual next()), extrapolate, cost in
+     * Run one chunk into a Prepared record: fill the SoA lanes with
+     * up to memSampleCap_ of its accesses, walk them through the
+     * cache model, extrapolate the rest, and cost the chunk in
      * cycles.
      */
-    ExecContext::Prepared modelChunk(const WorkChunk &chunk,
-                                     bool batched);
+    ExecContext::Prepared executeChunk(const WorkChunk &chunk);
 
     /** Credit pro-rata chunk progress to the PMU and totals. */
     void creditFront(ExecContext::Prepared &front, Tick g);
@@ -233,21 +151,17 @@ class CpuCore
     Tick attributedUpTo_;
     Tick busyTime_;
     Addr kernelScratchCursor_;
-    ChunkCostTable costTable_;
 
     /**
-     * @{ The compiled entry (and table generation) that produced
-     * the last executeChunk result, null when the result did not
-     * come from the table.  Lets prepare() recognize a run of
-     * identical chunks by entry identity — no per-field compare —
-     * while the generation guards against round-robin reuse.
+     * Cap on real cache accesses per chunk and per charge, latched
+     * at construction like the clock frequencies: the sample lanes
+     * are sized by it, so raising the config's cap on a live core
+     * must not let a chunk write past them.
      */
-    const ChunkCostTable::Entry *lastPrepEntry_ = nullptr;
-    std::uint64_t lastPrepGen_ = 0;
-    /** @} */
+    std::uint32_t memSampleCap_;
 
     /**
-     * @{ SoA sample lanes, sized memSampleCap once at construction:
+     * @{ SoA sample lanes, sized memSampleCap_ at construction:
      * one fillBatch call per chunk fills them contiguously, and the
      * cache-model walk reads plain arrays instead of making one
      * virtual call per access.

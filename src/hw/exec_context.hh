@@ -85,33 +85,6 @@ class ExecContext
     double frontFlopsCredited_ = 0.0;
     /** @} */
 
-    /**
-     * @{ Run-coalescing state (batched chunk engine): queue_.back()
-     * is a k-fold multiple of a unit chunk with these parameters.
-     * Merging the (k+1)-th identical unit into it is bit-exact for
-     * pro-rata integer attribution — floor(kE*t/(kD)) ==
-     * floor(E*t/D) for every t — so it holds only for flops == 0
-     * units, where no floating-point accumulation can reorder.
-     * Invalidated when the back chunk retires.
-     */
-    bool backMergeable_ = false;
-    Tick backUnitDuration_ = 0;
-    EventVector backUnitEvents_{};
-    PrivLevel backUnitPriv_ = PrivLevel::user;
-
-    /**
-     * Identity of the compiled cost-table entry the unit came from
-     * (opaque to this class; owned by whichever core prepared it)
-     * plus the table generation at that time.  A new chunk served
-     * by the same (entry, generation) is byte-identical to the unit
-     * without any field compare; a migrated context or an evicted
-     * entry simply fails the identity check and falls back to the
-     * full comparison.
-     */
-    const void *backUnitEntry_ = nullptr;
-    std::uint64_t backUnitGen_ = 0;
-    /** @} */
-
     bool sourceDone_ = false;
     EventVector total_{};
     double flops_ = 0.0;

@@ -40,27 +40,15 @@ class AddressStream
   public:
     virtual ~AddressStream() = default;
 
-    /** Produce the next reference. */
-    virtual MemRef next() = 0;
-
     /**
      * Produce the next @p n references into SoA lanes: addresses
-     * into @p addrs, write flags (0/1) into @p writes.  Must emit
-     * exactly the sequence n calls to next() would — same values,
-     * same RNG draws — so the batched chunk engine is bit-identical
-     * to the interpreter.  The default does exactly that (one
-     * virtual next() per element); concrete streams override it
-     * with a devirtualized loop over the same per-element step.
+     * into @p addrs, write flags (0/1) into @p writes.  The CPU
+     * makes one call per chunk and then walks the lanes as plain
+     * arrays, so a stream pays one virtual dispatch per chunk, not
+     * one per access.
      */
-    virtual void
-    fillBatch(Addr *addrs, std::uint8_t *writes, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            MemRef ref = next();
-            addrs[i] = ref.addr;
-            writes[i] = ref.write ? 1 : 0;
-        }
-    }
+    virtual void fillBatch(Addr *addrs, std::uint8_t *writes,
+                           std::size_t n) = 0;
 };
 
 /**

@@ -64,19 +64,9 @@ struct MachineConfig
      * Cap on real cache-model accesses issued per work chunk; the
      * remainder of the chunk's accesses are extrapolated from the
      * sampled miss rates (see DESIGN.md "two execution fidelities").
+     * Each CpuCore latches it when built.
      */
     std::uint32_t memSampleCap = 192;
-
-    /**
-     * Select the batched chunk engine: per-phase cost tables for
-     * streamless chunks, run coalescing of identical prepared
-     * chunks, and SoA-packed address batches for sampled accesses.
-     * Off selects the retained reference interpreter (one cost
-     * model evaluation and one virtual stream call per access) the
-     * 16-seed equivalence sweep compares against; both produce
-     * bit-identical counts, RNG draws, and sample bytes.
-     */
-    bool batchedChunkEngine = true;
 
     /** The paper's local testbed: Intel Core i7-920 @ 2.67 GHz. */
     static MachineConfig corei7_920();

@@ -87,12 +87,6 @@ class SequentialStream : public hw::AddressStream
         panic_if(stride_ == 0, "sequential stream: zero stride");
     }
 
-    hw::MemRef
-    next() override
-    {
-        return step();
-    }
-
     void
     fillBatch(Addr *addrs, std::uint8_t *writes,
               std::size_t n) override
@@ -134,12 +128,6 @@ class RandomStream : public hw::AddressStream
           writeFrac_(write_frac), rng_(rng)
     {
         panic_if(footprint_ == 0, "random stream: empty region");
-    }
-
-    hw::MemRef
-    next() override
-    {
-        return step();
     }
 
     void
@@ -185,14 +173,6 @@ class HotColdStream : public hw::AddressStream
     {
     }
 
-    hw::MemRef
-    next() override
-    {
-        if (rng_.chance(hotProb_))
-            return hot_.step();
-        return cold_.step();
-    }
-
     void
     fillBatch(Addr *addrs, std::uint8_t *writes,
               std::size_t n) override
@@ -232,12 +212,6 @@ class PointerChaseStream : public hw::AddressStream
                 rng_.below(static_cast<std::uint32_t>(i));
             std::swap(next_[i], next_[j]);
         }
-    }
-
-    hw::MemRef
-    next() override
-    {
-        return step();
     }
 
     void

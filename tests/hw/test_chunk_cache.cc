@@ -1,18 +1,20 @@
 /**
  * @file
- * Chunk cost-table correctness: the compiled fast path in CpuCore
- * memoizes per-chunk timing/event results keyed on the chunk's
- * signature AND the machine-config fingerprint.  These tests pin
- * the stale-memo bug class: a cached cost must never survive a
- * change to the chunk shape, a phase boundary that cycles more
- * signatures than the table holds, or a mutation of the config
- * parameters the cost was derived from.  They also pin the
- * batched engine against the retained reference interpreter
- * (cfg.batchedChunkEngine = false) across a seeded property sweep.
+ * Chunk-engine costing: CpuCore derives each chunk's duration and
+ * event counts from the chunk's own fields, the machine config and
+ * (for streamed chunks) the sampled cache walk.  These tests pin
+ * that a chunk's cost is independent of what ran before it, that it
+ * follows later changes to the cost-model parameters of the config,
+ * that the per-chunk sample cap is latched when the core is built,
+ * and, with known answers, the engine's exact output on a mixed
+ * workload.  The ChunkCostTable suite is named after the memo its
+ * tests were written for; they pin the same properties without it.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "hw/cpu_core.hh"
@@ -80,9 +82,9 @@ variantChunk(unsigned variant)
 
 TEST(ChunkCostTable, RepeatedChunkMatchesColdExecution)
 {
-    // One cold execution vs the same chunk repeated: table hits
-    // (and run coalescing) must reproduce the cold cost exactly,
-    // with events scaling by exactly the repeat count.
+    // One execution vs the same chunk repeated: every repeat must
+    // reproduce the first one's cost exactly, with events scaling by
+    // exactly the repeat count.
     WorkChunk c = variantChunk(0);
 
     Fixture cold;
@@ -104,7 +106,7 @@ TEST(ChunkCostTable, RepeatedChunkMatchesColdExecution)
 
 TEST(ChunkCostTable, AlternatingSignaturesStayExact)
 {
-    // A phase boundary in miniature: two interleaved signatures
+    // A phase boundary in miniature: two interleaved chunk shapes
     // must each keep their own cost, never each other's.
     WorkChunk a = variantChunk(1);
     WorkChunk b = variantChunk(2);
@@ -120,9 +122,8 @@ TEST(ChunkCostTable, AlternatingSignaturesStayExact)
 
 TEST(ChunkCostTable, EvictionCycleStaysExact)
 {
-    // More live signatures than the table holds: every execution
-    // after the working set wraps must re-derive (not misattribute)
-    // the evicted cost.  12 variants > the 8-entry table.
+    // Many distinct shapes in a cycle: each chunk's cost is the one
+    // it has on a fresh core, however many other shapes ran first.
     std::vector<WorkChunk> cycle;
     Tick expected = 0;
     for (unsigned v = 0; v < 12; ++v) {
@@ -130,8 +131,8 @@ TEST(ChunkCostTable, EvictionCycleStaysExact)
         cycle.push_back(c);
         expected += Fixture().run({c});
     }
-    // Two full passes: the second pass runs entirely against a
-    // table whose entries were all evicted and restored.
+    // Two full passes: the second pass runs on a core that has
+    // already costed every shape once.
     std::vector<WorkChunk> twice = cycle;
     twice.insert(twice.end(), cycle.begin(), cycle.end());
     EXPECT_EQ(Fixture().run(twice), 2 * expected);
@@ -139,9 +140,9 @@ TEST(ChunkCostTable, EvictionCycleStaysExact)
 
 TEST(ChunkCostTable, BranchPenaltyChangeInvalidatesEntry)
 {
-    // The config fingerprint must catch parameter mutation: the
-    // same chunk signature re-executed after the branch penalty
-    // changes must be re-derived, not served from the stale entry.
+    // The core reads the branch penalty from the config for every
+    // chunk: the same chunk re-executed after the penalty changes
+    // must cost more.
     WorkChunk c = variantChunk(3);
 
     Fixture f;
@@ -150,8 +151,8 @@ TEST(ChunkCostTable, BranchPenaltyChangeInvalidatesEntry)
     Tick after = f.run({c});
     EXPECT_GT(after, before);
 
-    // And the re-derived cost is what a cold core with the mutated
-    // config computes.
+    // And that cost is what a fresh core with the changed config
+    // computes.
     MachineConfig hot = MachineConfig::corei7_920();
     hot.pipeline.branchMispredictPenalty *= 4;
     EXPECT_EQ(after, Fixture(hot).run({c}));
@@ -160,11 +161,9 @@ TEST(ChunkCostTable, BranchPenaltyChangeInvalidatesEntry)
 TEST(ChunkCostTable, PerFrequencyCostsStayIndependent)
 {
     // The core latches coreFreqHz into its clock at construction
-    // (mutating the config later cannot retune a live core), so
-    // the frequency fingerprint guards table reuse across cores
-    // built at different speeds: each core's memoized cost must be
-    // derived from its own clock and stay exactly self-consistent
-    // under repetition.
+    // (mutating the config later cannot retune a live core): each
+    // core's cost must be derived from its own clock and stay
+    // exactly self-consistent under repetition.
     WorkChunk c = variantChunk(4);
 
     MachineConfig fast = MachineConfig::corei7_920();
@@ -182,9 +181,8 @@ TEST(ChunkCostTable, PerFrequencyCostsStayIndependent)
 
 TEST(ChunkCostTable, StallExposureChangeInvalidatesEntry)
 {
-    // Memory-flavoured knob: chargeable via preExecuted=false
-    // streamless chunks only through the fingerprint, since the
-    // chunk signature itself is unchanged.
+    // Memory-flavoured knob: the chunk itself is unchanged, so only
+    // the config change can move its cost.
     WorkChunk c = variantChunk(5);
     c.stallExposureScale = 1.0;
 
@@ -198,17 +196,72 @@ TEST(ChunkCostTable, StallExposureChangeInvalidatesEntry)
     Tick cold = Fixture(exposed).run({c});
     EXPECT_EQ(after, cold);
     // (The compute-only chunk may be stall-free; the pinned
-    // property is re-derivation, not that the knob moved the cost.)
+    // property is that the cost follows the config, not that the
+    // knob moved it.)
     (void)before;
 }
 
-TEST(ChunkEngineEquivalence, BatchedMatchesReferenceAcrossSeeds)
+TEST(ChunkEngine, SampleCapLatchedAtConstruction)
 {
-    // 16-seed property sweep: the compiled/batched engine and the
-    // retained reference interpreter must be bit-identical on a
-    // workload mixing compute phases, streamed memory phases (SoA
-    // fill path), and pre-executed chunks — including across phase
-    // boundaries that alternate signatures.
+    // The SoA sample lanes are sized from memSampleCap when the core
+    // is built.  Raising the cap in the config afterwards must not
+    // raise the per-chunk sample count past them: the chunk still
+    // issues exactly the construction-time cap of L1 lookups.
+    Fixture f;
+    const std::uint32_t cap = f.cfg.memSampleCap;
+    ASSERT_EQ(cap, 192u);
+    f.cfg.memSampleCap = 4096;
+
+    auto stream = workload::makeAddressStream(
+        workload::MemPatternSpec::randomUniform(64 * 1024 * 1024),
+        0x10000000, Random(7));
+    WorkChunk c;
+    c.instructions = 50000;
+    c.loads = 20000;
+    c.stream = stream.get();
+    f.run({c});
+    EXPECT_EQ(f.core.mem().l1().stats().accesses(), cap);
+}
+
+namespace
+{
+
+/** FNV-1a over 64-bit words, folded in byte by byte. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t word)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+} // namespace
+
+TEST(ChunkEngine, MixedWorkloadKnownAnswers)
+{
+    // 16 seeds of a workload mixing repeated compute chunks, streamed
+    // memory chunks (sampled through the SoA lanes), pre-executed
+    // chunks and a flops chunk, across shape changes.  Each seed's
+    // total ticks, instructions, flops and every event total are
+    // folded into one FNV-1a digest and compared with a recorded
+    // value: any change to the cost model, the sampled walk or the
+    // attribution moves at least one digest.
+    const std::uint64_t expected[16] = {
+        0xbb29a46333ff484fULL, 0xc9158e594095d858ULL,
+        0x957e30e2a3bccf1fULL, 0xbf63556b34631d5dULL,
+        0x9b4fe7a3e7561e71ULL, 0x206b0e1138573f30ULL,
+        0xe914f6090ad13c8fULL, 0x782d41a24ad6fc62ULL,
+        0xe1788058b31a571cULL, 0x24af904283bd8fddULL,
+        0x1b88780e3bf38261ULL, 0xfe565bfdf68b042aULL,
+        0x96df25700178b7f2ULL, 0xa5f0af8e1aaa4c2eULL,
+        0x97956a9a3f90c1adULL, 0x90911aed979ae800ULL,
+    };
     for (unsigned seed = 0; seed < 16; ++seed) {
         workload::MemPatternSpec pat =
             (seed % 2 == 0)
@@ -216,69 +269,43 @@ TEST(ChunkEngineEquivalence, BatchedMatchesReferenceAcrossSeeds)
                       (8u + seed) * 1024 * 1024)
                 : workload::MemPatternSpec::sequential(
                       (4u + seed) * 1024 * 1024);
+        auto stream = workload::makeAddressStream(
+            pat, 0x10000000 + seed * 0x1000, Random(100 + seed));
 
-        auto build = [&](Random rng) {
-            struct Built
-            {
-                std::unique_ptr<hw::AddressStream> stream;
-                std::vector<WorkChunk> chunks;
-            };
-            Built b;
-            b.stream = workload::makeAddressStream(
-                pat, 0x10000000 + seed * 0x1000, rng);
-            WorkChunk mem;
-            mem.instructions = 50000 + seed * 777;
-            mem.loads = 20000 + seed * 333;
-            mem.stores = 5000 + seed * 111;
-            mem.baseIpc = 1.5;
-            mem.stream = b.stream.get();
-            WorkChunk pre;
-            pre.preExecuted = true;
-            pre.instructions = 4000 + seed;
-            at(pre.preEvents, HwEvent::instRetired) =
-                pre.instructions;
-            at(pre.preEvents, HwEvent::llcMiss) = 17 + seed;
-            pre.preStallCycles = 9000;
-            pre.baseIpc = 1.0;
-            WorkChunk flopsy = computeChunk(60000 + seed * 101, 2.0);
-            flopsy.flops = 1e5 + seed * 13.0;
-            // Repeats of the compute signatures exercise the table
-            // hit and coalescing paths; the interleave exercises
-            // phase-boundary invalidation.
-            b.chunks = {variantChunk(seed % 6),
-                        mem,
-                        variantChunk(seed % 6),
-                        variantChunk(seed % 6),
-                        pre,
-                        flopsy,
-                        variantChunk((seed + 1) % 6),
-                        mem};
-            return b;
-        };
+        WorkChunk mem;
+        mem.instructions = 50000 + seed * 777;
+        mem.loads = 20000 + seed * 333;
+        mem.stores = 5000 + seed * 111;
+        mem.baseIpc = 1.5;
+        mem.stream = stream.get();
+        WorkChunk pre;
+        pre.preExecuted = true;
+        pre.instructions = 4000 + seed;
+        at(pre.preEvents, HwEvent::instRetired) = pre.instructions;
+        at(pre.preEvents, HwEvent::llcMiss) = 17 + seed;
+        pre.preStallCycles = 9000;
+        pre.baseIpc = 1.0;
+        WorkChunk flopsy = computeChunk(60000 + seed * 101, 2.0);
+        flopsy.flops = 1e5 + seed * 13.0;
 
-        MachineConfig refCfg = MachineConfig::corei7_920();
-        refCfg.batchedChunkEngine = false;
-        Fixture reference(refCfg);
-        auto refBuilt = build(Random(100 + seed));
-        ExecContext refCtx(nullptr);
-        Tick refTicks = reference.run(refBuilt.chunks, &refCtx);
+        Fixture f;
+        ExecContext ctx(nullptr);
+        Tick ticks = f.run({variantChunk(seed % 6), mem,
+                            variantChunk(seed % 6),
+                            variantChunk(seed % 6), pre, flopsy,
+                            variantChunk((seed + 1) % 6), mem},
+                           &ctx);
 
-        Fixture batched; // batchedChunkEngine defaults to true
-        ASSERT_TRUE(batched.cfg.batchedChunkEngine);
-        auto batBuilt = build(Random(100 + seed));
-        ExecContext batCtx(nullptr);
-        Tick batTicks = batched.run(batBuilt.chunks, &batCtx);
-
-        EXPECT_EQ(batTicks, refTicks) << "seed " << seed;
-        EXPECT_EQ(batCtx.instructionsRetired(),
-                  refCtx.instructionsRetired())
-            << "seed " << seed;
-        EXPECT_EQ(batCtx.flopsDone(), refCtx.flopsDone())
-            << "seed " << seed;
-        for (std::size_t i = 0; i < refCtx.totalEvents().size();
-             ++i)
-            EXPECT_EQ(batCtx.totalEvents()[i],
-                      refCtx.totalEvents()[i])
-                << "seed " << seed << " event " << i;
+        Fnv1a digest;
+        digest.add(ticks);
+        digest.add(ctx.instructionsRetired());
+        digest.add(std::bit_cast<std::uint64_t>(ctx.flopsDone()));
+        for (std::uint64_t n : ctx.totalEvents())
+            digest.add(n);
+        EXPECT_EQ(digest.h, expected[seed])
+            << "seed " << seed << ": ticks " << ticks
+            << ", instructions " << ctx.instructionsRetired()
+            << ", flops " << ctx.flopsDone() << std::hex
+            << ", digest 0x" << digest.h;
     }
 }

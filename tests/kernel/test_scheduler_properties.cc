@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "base/str.hh"
 #include "kernel/system.hh"
 #include "workload/microbench.hh"
 
@@ -40,7 +41,7 @@ TEST_P(SchedulerProperty, AllProcessesCompleteWithExactWork)
         sources.push_back(std::make_unique<FixedWorkSource>(
             computeSource(8, 1000000, 2.0)));
         procs.push_back(sys.kernel().createWorkload(
-            "w" + std::to_string(i), sources.back().get(), 0));
+            csprintf("w%d", i), sources.back().get(), 0));
         sys.kernel().startProcess(procs.back());
     }
     sys.run();
@@ -61,7 +62,7 @@ TEST_P(SchedulerProperty, CpuTimeConservation)
         sources.push_back(std::make_unique<FixedWorkSource>(
             computeSource(8, 1000000, 2.0)));
         procs.push_back(sys.kernel().createWorkload(
-            "w" + std::to_string(i), sources.back().get(), 0));
+            csprintf("w%d", i), sources.back().get(), 0));
         sys.kernel().startProcess(procs.back());
     }
     sys.run();
@@ -97,7 +98,7 @@ TEST_P(SchedulerProperty, FairnessWithinTimeslice)
         sources.push_back(std::make_unique<FixedWorkSource>(
             computeSource(8, 1000000, 2.0)));
         procs.push_back(sys.kernel().createWorkload(
-            "w" + std::to_string(i), sources.back().get(), 0));
+            csprintf("w%d", i), sources.back().get(), 0));
         sys.kernel().startProcess(procs.back());
     }
     sys.run();
@@ -116,5 +117,5 @@ TEST_P(SchedulerProperty, FairnessWithinTimeslice)
 INSTANTIATE_TEST_SUITE_P(ProcessCounts, SchedulerProperty,
                          ::testing::Values(1, 2, 3, 5, 8),
                          [](const ::testing::TestParamInfo<int> &i) {
-                             return "n" + std::to_string(i.param);
+                             return csprintf("n%d", i.param);
                          });

@@ -159,8 +159,9 @@ void
 BM_CacheEvictLru(benchmark::State &state)
 {
     // Every access misses in a full set and evicts via exact LRU —
-    // isolates the victim-selection path: the smallest of the set's
-    // touch stamps.
+    // isolates the eviction path: the victim is the set's last way,
+    // and the miss costs one shift of the set to put the new line at
+    // way 0.
     hw::Cache cache("bench", {32 * 1024, 8, 64,
                               hw::ReplPolicy::lru},
                     Random(1));

@@ -25,10 +25,7 @@ Cache::Cache(std::string name, const CacheGeometry &geom, Random rng)
     lineShift_ = static_cast<unsigned>(std::countr_zero(geom.lineSize));
     pow2Sets_ = isPowerOf2(numSets_);
     ways_ = geom.ways;
-    stride_ = geom.policy == ReplPolicy::lru ? 2 * ways_ : ways_;
-    // Stamps start as emptyTag too: a stamp is read only once its
-    // set is full, and by then every way has been touched.
-    block_.assign(numSets_ * stride_, emptyTag);
+    tags_.assign(numSets_ * ways_, emptyTag);
     if (geom.policy == ReplPolicy::treePlru) {
         fatal_if(!isPowerOf2(geom.ways),
                  "cache ", name_, ": tree-PLRU needs pow2 ways");
@@ -59,45 +56,36 @@ Cache::touchPlru(std::uint64_t set, std::uint32_t way)
     }
 }
 
-std::uint32_t
-Cache::victimWay(const Addr *tags, std::uint64_t set)
+void
+Cache::fillSlot(Addr *tags, std::uint64_t set, Addr line)
 {
-    switch (geom_.policy) {
-      case ReplPolicy::random:
-        return rng_.below(ways_);
-      case ReplPolicy::treePlru: {
-        const std::uint8_t *bits = &plru_[set * ways_];
-        std::uint32_t node = 1;
-        std::uint32_t lo = 0;
-        std::uint32_t hi = ways_;
-        while (hi - lo > 1) {
-            std::uint32_t mid = (lo + hi) / 2;
-            if (bits[node]) {
-                lo = mid;
-                node = 2 * node + 1;
-            } else {
-                hi = mid;
-                node = 2 * node;
+    auto way = static_cast<std::uint32_t>(
+        std::find(tags, tags + ways_, emptyTag) - tags);
+    if (way == ways_) {
+        ++stats_.evictions;
+        if (geom_.policy == ReplPolicy::random) {
+            way = rng_.below(ways_);
+        } else {
+            const std::uint8_t *bits = &plru_[set * ways_];
+            std::uint32_t node = 1;
+            std::uint32_t lo = 0;
+            std::uint32_t hi = ways_;
+            while (hi - lo > 1) {
+                std::uint32_t mid = (lo + hi) / 2;
+                if (bits[node]) {
+                    lo = mid;
+                    node = 2 * node + 1;
+                } else {
+                    hi = mid;
+                    node = 2 * node;
+                }
             }
+            way = lo;
         }
-        return lo;
-      }
-      case ReplPolicy::lru:
-      default: {
-        // Stamps are unique, so the smallest is the one way touched
-        // longest ago.  Selects rather than branches: which way is
-        // oldest is unpredictable.
-        const Addr *stamps = tags + ways_;
-        Addr oldest = stamps[0];
-        std::uint32_t victim = 0;
-        for (std::uint32_t w = 1; w < ways_; ++w) {
-            const bool older = stamps[w] < oldest;
-            oldest = older ? stamps[w] : oldest;
-            victim = older ? w : victim;
-        }
-        return victim;
-      }
     }
+    tags[way] = line;
+    if (geom_.policy == ReplPolicy::treePlru)
+        touchPlru(set, way);
 }
 
 bool
@@ -105,11 +93,16 @@ Cache::flushLine(Addr addr)
 {
     ++stats_.flushes;
     const Addr line = addr >> lineShift_;
-    Addr *tags = &block_[setOf(line) * stride_];
+    Addr *tags = &tags_[setOf(line) * ways_];
     Addr *end = tags + ways_;
     Addr *way = std::find(tags, end, line);
     if (way == end)
         return false;
+    if (geom_.policy == ReplPolicy::lru) {
+        // Close the gap so the empty ways stay at the tail.
+        std::copy(way + 1, end, way);
+        way = end - 1;
+    }
     *way = emptyTag;
     return true;
 }
@@ -117,8 +110,7 @@ Cache::flushLine(Addr addr)
 void
 Cache::flushAll()
 {
-    for (std::uint64_t s = 0; s < numSets_; ++s)
-        std::fill_n(&block_[s * stride_], ways_, emptyTag);
+    std::fill(tags_.begin(), tags_.end(), emptyTag);
 }
 
 void
@@ -130,13 +122,8 @@ Cache::resetStats()
 std::uint64_t
 Cache::residentLines() const
 {
-    std::uint64_t n = 0;
-    for (std::uint64_t s = 0; s < numSets_; ++s) {
-        const Addr *tags = &block_[s * stride_];
-        n += ways_ - static_cast<std::uint64_t>(
-                         std::count(tags, tags + ways_, emptyTag));
-    }
-    return n;
+    return tags_.size() - static_cast<std::uint64_t>(std::count(
+                              tags_.begin(), tags_.end(), emptyTag));
 }
 
 } // namespace klebsim::hw

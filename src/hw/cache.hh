@@ -10,16 +10,25 @@
  * A way's tag is its full line address (addr >> log2(lineSize)),
  * which is unique within a set, so no lookup divides: the set index
  * is a mask when the set count is a power of two and a modulo only
- * otherwise.  Each set owns one stretch of a single per-cache block:
- * its ways' tags, then (exact LRU only) their last-touch stamps.  An
- * empty way holds a tag no line address can equal.  A miss fills
- * the lowest empty way first; in a full set the LRU victim is the
- * smallest stamp.
+ * otherwise.  The cache is one array of numSets * ways tags; an
+ * empty way holds a tag no line address can equal.
+ *
+ * Exact-LRU sets are kept in recency order: way 0 holds the most
+ * recently used line, the valid lines form a prefix and the empty
+ * ways the tail.  A hit moves its line to way 0; a miss evicts the
+ * last way (if valid) and puts the new line at way 0.  Every
+ * observable result depends only on each set's recency order and
+ * its count of empty ways, never on which way holds a line, so no
+ * per-way state beyond the tag is needed.  Random and tree-PLRU
+ * name ways in their state (an RNG draw, the tree bits), so their
+ * lines keep fixed ways and a miss fills the lowest empty way
+ * first.
  */
 
 #ifndef KLEBSIM_HW_CACHE_HH
 #define KLEBSIM_HW_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -105,25 +114,26 @@ class Cache
         (void)write; // no dirty-state modeling; writes allocate like reads
         const Addr line = addr >> lineShift_;
         const std::uint64_t set = setOf(line);
-        Addr *tags = &block_[set * stride_];
-        std::uint32_t way = ways_;
+        Addr *tags = &tags_[set * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w) {
             if (tags[w] == line) {
                 ++stats_.hits;
-                touch(tags, set, w);
+                if (geom_.policy == ReplPolicy::lru)
+                    moveToFront(tags, w, line);
+                else if (geom_.policy == ReplPolicy::treePlru)
+                    touchPlru(set, w);
                 return true;
             }
-            if (tags[w] == emptyTag && way == ways_)
-                way = w;
         }
 
         ++stats_.misses;
-        if (way == ways_) {
-            way = victimWay(tags, set);
-            ++stats_.evictions;
+        if (geom_.policy == ReplPolicy::lru) {
+            // The last way is the LRU line, or empty if the set has room.
+            stats_.evictions += tags[ways_ - 1] != emptyTag;
+            moveToFront(tags, ways_ - 1, line);
+        } else {
+            fillSlot(tags, set, line);
         }
-        tags[way] = line;
-        touch(tags, set, way);
         return false;
     }
 
@@ -132,7 +142,7 @@ class Cache
     contains(Addr addr) const
     {
         const Addr line = addr >> lineShift_;
-        const Addr *tags = &block_[setOf(line) * stride_];
+        const Addr *tags = &tags_[setOf(line) * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w)
             if (tags[w] == line)
                 return true;
@@ -167,34 +177,31 @@ class Cache
         return pow2Sets_ ? (line & (numSets_ - 1)) : line % numSets_;
     }
 
-    /** Record a hit or fill of @p way in the set at @p tags. */
-    void
-    touch(Addr *tags, std::uint64_t set, std::uint32_t way)
+    /**
+     * Drop way @p way of an LRU set, shift the ways before it down
+     * by one and put @p line at way 0.
+     */
+    static void
+    moveToFront(Addr *tags, std::uint32_t way, Addr line)
     {
-        if (geom_.policy == ReplPolicy::lru)
-            tags[ways_ + way] = ++lastStamp_;
-        else if (geom_.policy == ReplPolicy::treePlru)
-            touchPlru(set, way);
+        std::copy_backward(tags, tags + way, tags + way + 1);
+        tags[0] = line;
     }
 
     /** Point the set's PLRU tree away from @p way. */
     void touchPlru(std::uint64_t set, std::uint32_t way);
 
-    /** Way to evict from the full set at @p tags (policy-dependent). */
-    std::uint32_t victimWay(const Addr *tags, std::uint64_t set);
+    /**
+     * Put @p line into a random or tree-PLRU set that missed: the
+     * lowest empty way, else the policy's victim.
+     */
+    void fillSlot(Addr *tags, std::uint64_t set, Addr line);
 
     unsigned lineShift_ = 0;
     bool pow2Sets_ = false;
     std::uint32_t ways_ = 0;
-    std::uint32_t stride_ = 0; //!< block words per set
     std::uint64_t numSets_ = 0;
-
-    /**
-     * numSets_ * stride_ words, one allocation: per set, ways_ tags
-     * then (lru only) ways_ touch stamps.
-     */
-    std::vector<Addr> block_;
-    std::uint64_t lastStamp_ = 0;
+    std::vector<Addr> tags_; //!< numSets_ * ways_, set by set
     CacheStats stats_;
 
     CacheGeometry geom_;

@@ -134,11 +134,12 @@ class MemHierarchy
     /**
      * CLFLUSH @p addr: evict the line from every level.
      * @return outcome carrying the flush latency; level reports the
-     *         deepest level the line was found in (dram if absent).
+     *         nearest level the line was found in (L1 before L2
+     *         before LLC; dram if absent).
      */
     AccessOutcome clflush(Addr addr);
 
-    /** Residency probe (no state change): deepest level holding addr. */
+    /** Residency probe (no state change): nearest level holding addr. */
     MemLevel probe(Addr addr) const;
 
     Cache &l1() { return l1_; }

@@ -15,6 +15,20 @@ smallGeom(ReplPolicy policy = ReplPolicy::lru)
     return {512, 2, 64, policy};
 }
 
+CacheGeometry
+fourWayGeom()
+{
+    // 4 sets x 4 ways x 64 B = 1 KB.
+    return {1024, 4, 64, ReplPolicy::lru};
+}
+
+/** Line @p k of set 0 in the fourWayGeom() cache. */
+constexpr Addr
+set0Line(Addr k)
+{
+    return k * 4 * 64;
+}
+
 } // namespace
 
 TEST(Cache, GeometrySets)
@@ -49,6 +63,77 @@ TEST(Cache, LruEviction)
     EXPECT_FALSE(c.contains(b));
     EXPECT_TRUE(c.contains(d));
     EXPECT_EQ(c.stats().evictions, 1u);
+}
+
+TEST(Cache, LruEvictsLeastRecentlyTouchedAfterInterleavedHits)
+{
+    Cache c("t", fourWayGeom(), Random(1));
+    const Addr a = set0Line(0), b = set0Line(1), d = set0Line(2),
+               e = set0Line(3);
+    for (Addr x : {a, b, d, e})
+        c.access(x, false);
+    // After these hits the recency order, newest first, is b, e, a, d.
+    EXPECT_TRUE(c.access(d, false));
+    EXPECT_TRUE(c.access(a, false));
+    EXPECT_TRUE(c.access(e, false));
+    EXPECT_TRUE(c.access(b, false));
+    EXPECT_EQ(c.stats().evictions, 0u);
+
+    EXPECT_FALSE(c.access(set0Line(4), false)); // evicts d
+    EXPECT_EQ(c.stats().evictions, 1u);
+    EXPECT_FALSE(c.contains(d));
+    for (Addr x : {a, b, e})
+        EXPECT_TRUE(c.contains(x));
+
+    EXPECT_FALSE(c.access(set0Line(5), false)); // evicts a
+    EXPECT_EQ(c.stats().evictions, 2u);
+    EXPECT_FALSE(c.contains(a));
+    for (Addr x : {b, e, set0Line(4), set0Line(5)})
+        EXPECT_TRUE(c.contains(x));
+}
+
+TEST(Cache, LruFlushOfMidRecencyLineLeavesRoom)
+{
+    Cache c("t", fourWayGeom(), Random(1));
+    const Addr a = set0Line(0), b = set0Line(1), d = set0Line(2),
+               e = set0Line(3);
+    for (Addr x : {a, b, d, e})
+        c.access(x, false);
+    c.access(a, false); // recency, newest first: a, e, d, b
+    EXPECT_TRUE(c.flushLine(d));
+
+    // The set has room again: the next miss evicts nothing.
+    EXPECT_FALSE(c.access(set0Line(4), false));
+    EXPECT_EQ(c.stats().evictions, 0u);
+    for (Addr x : {a, b, e, set0Line(4)})
+        EXPECT_TRUE(c.contains(x));
+
+    // The set is full again; the oldest survivor, b, goes next.
+    EXPECT_FALSE(c.access(set0Line(5), false));
+    EXPECT_EQ(c.stats().evictions, 1u);
+    EXPECT_FALSE(c.contains(b));
+    for (Addr x : {a, e, set0Line(4), set0Line(5)})
+        EXPECT_TRUE(c.contains(x));
+}
+
+TEST(Cache, LruRefillsAfterFlushAllWithoutEvicting)
+{
+    Cache c("t", fourWayGeom(), Random(1));
+    for (Addr k = 0; k < 6; ++k)
+        c.access(set0Line(k), false);
+    EXPECT_EQ(c.stats().evictions, 2u);
+    c.flushAll();
+
+    for (Addr k = 10; k < 14; ++k)
+        EXPECT_FALSE(c.access(set0Line(k), false));
+    EXPECT_EQ(c.stats().evictions, 2u);
+    EXPECT_EQ(c.residentLines(), 4u);
+    for (Addr k = 10; k < 14; ++k)
+        EXPECT_TRUE(c.contains(set0Line(k)));
+
+    c.access(set0Line(14), false); // full again: evicts line 10
+    EXPECT_EQ(c.stats().evictions, 3u);
+    EXPECT_FALSE(c.contains(set0Line(10)));
 }
 
 TEST(Cache, ContainsHasNoSideEffects)

@@ -80,7 +80,7 @@ TEST(MemHierarchy, ClflushInvalidatesEverywhere)
     f.mem.access(0x2000, false);
     AccessOutcome flush = f.mem.clflush(0x2000);
     EXPECT_EQ(flush.cycles, f.cfg.latency.clflush);
-    EXPECT_EQ(flush.level, MemLevel::l1); // deepest... first found
+    EXPECT_EQ(flush.level, MemLevel::l1); // nearest level holding it
     EXPECT_EQ(f.mem.probe(0x2000), MemLevel::dram);
     AccessOutcome out = f.mem.access(0x2000, false);
     EXPECT_EQ(out.level, MemLevel::dram);

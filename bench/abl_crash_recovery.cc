@@ -91,14 +91,14 @@ main(int argc, char **argv)
         table.addRow(
             {scenarios[k].label, toFixed(ticksToMs(r.lifetime), 2),
              std::to_string(r.samples),
-             std::to_string(r.recovery.samplesRecovered),
-             std::to_string(r.recovery.framesKept),
-             std::to_string(r.recovery.framesDropped),
-             std::to_string(r.recovery.framesVanished),
-             toFixed(ticksToMs(r.recovery.gapTicks), 2),
+             std::to_string(r.recovered.report.samplesRecovered),
+             std::to_string(r.recovered.report.framesKept),
+             std::to_string(r.recovered.report.framesDropped),
+             std::to_string(r.recovered.report.framesVanished),
+             toFixed(ticksToMs(r.recovered.report.gapTicks), 2),
              std::to_string(r.supervisor.restarts),
              toFixed(ticksToMs(r.supervisor.totalOutage), 2),
-             r.recovery.balanced() ? "yes" : "NO",
+             r.recovered.report.balanced() ? "yes" : "NO",
              std::to_string(r.faultsInjected)});
     }
     table.print();

@@ -5,22 +5,18 @@
  * Spins up a fleet of simulated machines — each a full kernel +
  * K-LEB session over a workload mix — streaming epoch-framed
  * records over a lossy link into the central collector, and proves
- * the two properties the fleet design is sold on:
- *
- *  1. determinism at scale: the aggregate CSV and monitor-tree
- *     digest are byte-identical at --jobs 1 and --jobs N, with and
- *     without chaos (machine crashes, link drops/delays) and with
- *     a collector crash + journal-replay restart in the middle;
- *  2. throughput: the collector's merge path sustains millions of
- *     samples per wall-second, measured over a synthetic delivery
- *     stream large enough to dwarf constant costs.
+ * determinism at scale: the aggregate CSV and monitor-tree digest
+ * are byte-identical at --jobs 1 and --jobs N, with and without
+ * chaos (machine crashes, link drops/delays) and with a collector
+ * crash + journal-replay restart in the middle.  The collector's
+ * per-record cost is measured by BM_FleetCollectorIngest in
+ * micro_substrate, so this bench prints no host time.
  *
  * --runs N sets the machine count (default 10000; --quick 256).
  * The machine-readable block under `fleet smoke CSV` is gated in CI
  * by `bench_report --check-fleet`.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,9 +27,6 @@
 
 using namespace klebsim;
 using namespace klebsim::bench;
-using fleet::Collector;
-using fleet::CollectorConfig;
-using fleet::Delivery;
 using fleet::FleetConfig;
 using fleet::FleetResult;
 
@@ -80,63 +73,6 @@ runScenario(std::uint32_t machines, unsigned jobs,
     cfg.jobs = jobs;
     cfg.faultSpec = spec;
     return fleet::runFleet(cfg);
-}
-
-/**
- * Time the collector merge path alone over a synthetic healthy
- * delivery stream of @p records records; returns the ingest rate
- * in million samples per wall-second.
- */
-double
-ingestRate(std::uint64_t records)
-{
-    const std::uint32_t machines = 64;
-    const std::uint32_t cores = 2;
-    std::vector<Delivery> stream;
-    stream.reserve(records);
-    const std::uint64_t rounds =
-        records / (machines * cores) + 1;
-    std::uint64_t made = 0;
-    for (std::uint64_t i = 0; i < rounds && made < records; ++i) {
-        for (std::uint32_t m = 0;
-             m < machines && made < records; ++m) {
-            for (std::uint32_t c = 0;
-                 c < cores && made < records; ++c) {
-                Delivery d;
-                d.arrival = usToTicks(100) * (i + 1);
-                d.rec.machine = m;
-                d.rec.core = static_cast<std::uint16_t>(c);
-                d.rec.seq = i;
-                d.rec.ts = d.arrival;
-                d.rec.counts = {2000 * (i + 1), 1000 * (i + 1),
-                                10 * (i + 1)};
-                stream.push_back(d);
-                ++made;
-            }
-        }
-    }
-
-    CollectorConfig cfg;
-    cfg.machines = machines;
-    cfg.coresPerMachine = cores;
-    // The synthetic stream is a stress clip, not a liveness test:
-    // keep every machine healthy for its whole length.
-    cfg.heartbeatTimeout = secToTicks(1);
-    Collector collector(cfg);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    collector.ingest(stream);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs =
-        std::chrono::duration<double>(t1 - t0).count();
-    const double rate =
-        secs > 0.0 ? static_cast<double>(made) / secs / 1e6 : 0.0;
-    std::printf("  collector merge: %llu samples in %.3f s -> "
-                "%.2f Msamples/s (accepted %llu)\n",
-                static_cast<unsigned long long>(made), secs, rate,
-                static_cast<unsigned long long>(
-                    collector.stats().accepted));
-    return rate;
 }
 
 } // namespace
@@ -222,10 +158,6 @@ main(int argc, char **argv)
             r.treeDigest));
     }
     table.print();
-
-    std::printf("\nCollector ingest throughput (synthetic "
-                "stream):\n");
-    ingestRate(args.quick ? 200000 : 1000000);
 
     std::printf("\nfleet smoke CSV\n%s\n", smokeHeader);
     for (const std::string &line : csv_lines)

@@ -15,6 +15,7 @@
 #include "fleet/fleet.hh"
 #include "hw/cpu_core.hh"
 #include "kernel/system.hh"
+#include "kleb/durable_log.hh"
 #include "sim/event_queue.hh"
 #include "workload/address_streams.hh"
 #include "workload/microbench.hh"
@@ -311,6 +312,24 @@ BM_RandomStream(benchmark::State &state)
         benchmark::DoNotOptimize(rng.next64());
 }
 BENCHMARK(BM_RandomStream);
+
+void
+BM_Crc32cFrame(benchmark::State &state)
+{
+    // One durable-log frame payload: the 88 bytes after the CRC
+    // field that DurableLog::writeFrame checksums on append and
+    // LogRecovery::scan checksums again on recovery.
+    std::uint8_t payload[kleb::DurableLog::frameSize - 8];
+    for (std::size_t i = 0; i < sizeof(payload); ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(payload);
+        benchmark::DoNotOptimize(
+            kleb::crc32c(payload, sizeof(payload)));
+    }
+    state.SetBytesProcessed(state.iterations() * sizeof(payload));
+}
+BENCHMARK(BM_Crc32cFrame);
 
 void
 BM_FleetCollectorIngest(benchmark::State &state)

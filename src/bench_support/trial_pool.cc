@@ -94,13 +94,14 @@ TrialPool::run(std::size_t count,
     std::lock_guard<std::mutex> serialize(runMutex_);
     ensureWorkers();
 
-    // Shard [0, count) into contiguous runs, several per
-    // participant so stealing can rebalance unequal trial costs.
-    // The split is a pure function of (count, jobs_): which shard a
-    // trial lands in never depends on scheduling, and a trial's
-    // result may depend only on its index anyway.
+    // Shard [0, count) into contiguous runs, 32 per participant so
+    // that stealing can still even out unequal trial costs near the
+    // end of the run.  The split is a pure function of
+    // (count, jobs_): which shard a trial lands in never depends on
+    // scheduling, and a trial's result may depend only on its index
+    // anyway.
     const std::size_t shardSize =
-        std::max<std::size_t>(1, count / (std::size_t{jobs_} * 4));
+        std::max<std::size_t>(1, count / (std::size_t{jobs_} * 32));
     const std::size_t numShards =
         (count + shardSize - 1) / shardSize;
 

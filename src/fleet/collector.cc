@@ -73,6 +73,10 @@ Collector::ingest(const std::vector<Delivery> &deliveries)
                 : std::max<std::uint64_t>(4096,
                                           deliveries.size() / 4);
     }
+    // Size the journal once for the batch: a frame per delivery,
+    // plus the epoch frame each checkpoint opens.
+    journal_.reserveFrames(deliveries.size() +
+                           deliveries.size() / checkpointEvery_ + 1);
     for (const Delivery &d : deliveries)
         service(d);
 }

@@ -107,6 +107,8 @@ simulateMachines(const FleetConfig &cfg,
             shard.account.sent = ls.delivered + ls.dropped;
             shard.account.dropped = ls.dropped;
             shard.account.delayed = ls.delayed;
+            std::sort(shard.deliveries.begin(),
+                      shard.deliveries.end(), deliveryBefore);
             return shard;
         },
         simFailures);
@@ -121,6 +123,43 @@ simulateMachines(const FleetConfig &cfg,
         }
     }
     return shards;
+}
+
+std::vector<Delivery>
+mergeDeliveries(const std::vector<MachineShardResult> &shards)
+{
+    // A heap of the non-empty runs, earliest head on top.
+    struct Run
+    {
+        const Delivery *at;
+        const Delivery *end;
+    };
+    auto later = [](const Run &a, const Run &b) {
+        return deliveryBefore(*b.at, *a.at);
+    };
+
+    std::vector<Run> heap;
+    std::size_t total = 0;
+    for (const MachineShardResult &s : shards) {
+        total += s.deliveries.size();
+        if (!s.deliveries.empty())
+            heap.push_back({s.deliveries.data(),
+                            s.deliveries.data() + s.deliveries.size()});
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+
+    std::vector<Delivery> merged;
+    merged.reserve(total);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        Run &r = heap.back();
+        merged.push_back(*r.at);
+        if (++r.at == r.end)
+            heap.pop_back();
+        else
+            std::push_heap(heap.begin(), heap.end(), later);
+    }
+    return merged;
 }
 
 FleetResult
@@ -147,26 +186,14 @@ runFleet(const FleetConfig &cfg)
     std::vector<MachineShardResult> shards = simulateMachines(
         cfg, plan, pool, &result.simFailures);
 
-    // Splice the per-machine delivery vectors in machine-id order —
-    // the exact pre-sort order the sequential loop produced — so
-    // the phase-3 sort sees an identical input permutation and the
-    // merged stream is byte-for-byte jobs-invariant.
-    result.accounts.resize(cfg.machines);
-    std::size_t total_deliveries = 0;
-    for (const MachineShardResult &s : shards)
-        total_deliveries += s.deliveries.size();
-    std::vector<Delivery> deliveries;
-    deliveries.reserve(total_deliveries);
-    for (MachineId m = 0; m < cfg.machines; ++m) {
-        result.accounts[m] = shards[m].account;
-        deliveries.insert(deliveries.end(),
-                          shards[m].deliveries.begin(),
-                          shards[m].deliveries.end());
-    }
-
     // Phase 3: one sequential drain in deterministic merge order.
-    std::sort(deliveries.begin(), deliveries.end(),
-              deliveryBefore);
+    result.accounts.resize(cfg.machines);
+    for (MachineId m = 0; m < cfg.machines; ++m)
+        result.accounts[m] = shards[m].account;
+    const std::vector<Delivery> deliveries = mergeDeliveries(shards);
+    // The merged stream holds a copy of every run; free the runs
+    // before the collector's journal grows.
+    shards.clear();
 
     CollectorConfig ccfg;
     ccfg.machines = cfg.machines;

@@ -7,14 +7,16 @@
  *  1. machine simulations, sharded across bench::TrialPool workers
  *     (crash-tolerant tryMap: a worker that dies mid-trial becomes
  *     an accounted dead machine, never a lost run);
- *  2. per-machine lossy-link transmission (pure per-machine RNG);
- *  3. one sequential collector drain over the globally sorted
- *     delivery stream.
+ *  2. per-machine lossy-link transmission (pure per-machine RNG),
+ *     after which the worker sorts its machine's deliveries;
+ *  3. a k-way merge of those per-machine sorted runs into one
+ *     stream, and one sequential collector drain over it.
  *
  * Every stochastic decision derives from (seed, machine id) through
  * the shared splitmix64 mixer, and the merge order is
- * (arrival, machine, core, seq) — so the aggregate CSV and the tree
- * digest are byte-identical at any --jobs value, with or without a
+ * (arrival, machine, core, seq) — a strict total order, so the
+ * merged stream is unique and the aggregate CSV and the tree digest
+ * are byte-identical at any --jobs value, with or without a
  * collector crash.
  */
 
@@ -116,7 +118,7 @@ extern const char *const fleetCsvHeader;
 /**
  * One machine's contribution to the fleet run: its ledger (as far
  * as the machine side can fill it) plus the deliveries that
- * survived its uplink, still in per-machine emission order.
+ * survived its uplink, sorted by deliveryBefore.
  */
 struct MachineShardResult
 {
@@ -125,8 +127,9 @@ struct MachineShardResult
 };
 
 /**
- * Phases 1+2 of runFleet(): simulate every machine and push its
- * stream through its lossy uplink, sharded across @p pool workers.
+ * Phases 1+2 of runFleet(): simulate every machine, push its
+ * stream through its lossy uplink and sort what arrived, sharded
+ * across @p pool workers.
  * Entry m of the result holds machine m's ledger and deliveries
  * regardless of which worker ran it; a machine whose simulation
  * died in its worker is recorded in @p simFailures and marked
@@ -138,6 +141,16 @@ std::vector<MachineShardResult> simulateMachines(
     const FleetConfig &cfg, const fault::FaultPlan &plan,
     bench::TrialPool &pool,
     std::vector<bench::TrialFailure> *simFailures);
+
+/**
+ * Phase 3's input: every shard's deliveries merged k-way into one
+ * stream sorted by deliveryBefore.  Each shard's deliveries must
+ * already be sorted by deliveryBefore, as simulateMachines()
+ * returns them.  The result equals std::sort of all the shards'
+ * deliveries spliced together.
+ */
+std::vector<Delivery>
+mergeDeliveries(const std::vector<MachineShardResult> &shards);
 
 /** Run one fleet end to end. */
 FleetResult runFleet(const FleetConfig &cfg);

@@ -57,8 +57,8 @@ struct LinkStats
 /**
  * Transmit @p machine's records over a link with @p params, seeded
  * from @p fault_seed, appending arrivals to @p deliveries (in
- * per-machine emission order; the caller globally sorts with
- * deliveryBefore before the collector drains).
+ * per-machine emission order; simulateMachines() sorts each
+ * machine's run by deliveryBefore and runFleet() merges the runs).
  */
 LinkStats transmit(const MachineOutput &machine,
                    const LinkParams &params,

@@ -97,7 +97,6 @@ runMachine(const MachineParams &p)
                       hw::HwEvent::llcMiss};
         cfg.period = p.period;
         cfg.durableLog = true;
-        cfg.keepDurableBytes = true;
         const std::uint32_t kind = p.id + core;
         cfg.workloadFactory = [kind](Addr base, Random rng) {
             return std::unique_ptr<hw::WorkSource>(
@@ -116,13 +115,12 @@ runMachine(const MachineParams &p)
                                 : cfg.faultSpec + ";" +
                                       p.smpFaultSpec;
 
-        tools::RunResult r = tools::runOnce(cfg);
-
         // The uplink reads the durable medium, not the in-memory
         // session: what crosses the wire is exactly what a real
-        // collector could read back from the machine's journal.
-        kleb::RecoveredLog rec =
-            kleb::LogRecovery::scan(r.durableBytes);
+        // collector could read back from the machine's journal,
+        // as runOnce's recovery scan found it.
+        const tools::RunResult r = tools::runOnce(cfg);
+        const kleb::RecoveredLog &rec = r.recovered;
         const std::uint64_t log_lost =
             rec.report.framesDropped + rec.report.framesVanished;
         out.produced += rec.report.samplesRecovered + log_lost;

@@ -38,11 +38,19 @@ namespace klebsim::kleb
 
 /**
  * CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78),
- * the checksum used by iSCSI/ext4/Btrfs journals; software
- * table-driven implementation.
+ * the checksum used by iSCSI/ext4/Btrfs journals.  On x86-64 hosts
+ * with SSE4.2 it runs the `crc32` instruction, 8 bytes at a time;
+ * elsewhere it is crc32cPortable().  The CPU check is made once per
+ * process, and both paths give the same value for every input and
+ * seed.
  */
 std::uint32_t crc32c(const std::uint8_t *data, std::size_t len,
                      std::uint32_t seed = 0);
+
+/** crc32c() as a byte-at-a-time table loop, on any host. */
+std::uint32_t crc32cPortable(const std::uint8_t *data,
+                             std::size_t len,
+                             std::uint32_t seed = 0);
 
 /** What a durable-log frame carries. */
 enum class FrameKind : std::uint32_t
@@ -93,6 +101,12 @@ class DurableLog
      */
     void recordRateChange(Tick now, Tick old_period,
                           Tick new_period);
+
+    /**
+     * Make room for @p frames more frames, so that appending them
+     * does not reallocate the medium.
+     */
+    void reserveFrames(std::size_t frames);
 
     /** The raw medium: header followed by frames. */
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }

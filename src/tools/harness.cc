@@ -248,17 +248,7 @@ runOnce(const RunConfig &cfg)
             if (injector)
                 injector->corruptLog(medium,
                                      kleb::DurableLog::headerSize);
-            kleb::RecoveredLog rec = kleb::LogRecovery::scan(medium);
-            result.recovery = rec.report;
-            result.rateChanges = rec.rateChanges;
-            std::vector<std::string> names;
-            names.reserve(cfg.events.size());
-            for (hw::HwEvent ev : cfg.events)
-                names.emplace_back(hw::eventName(ev));
-            result.recoveredSeries =
-                kleb::LogRecovery::splice(rec, names);
-            if (cfg.keepDurableBytes)
-                result.durableBytes = std::move(medium);
+            result.recovered = kleb::LogRecovery::scan(medium);
         }
         break;
       }

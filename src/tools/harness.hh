@@ -122,14 +122,6 @@ struct RunConfig
     /** First restart backoff; 0 keeps the default. */
     Tick restartBackoff = 0;
 
-    /**
-     * Keep a copy of the raw durable-log medium (post fault
-     * corruption) in RunResult::durableBytes.  The fleet collector
-     * streams those epoch-framed records off the machine; plain
-     * benches leave this off to avoid the copy.
-     */
-    bool keepDurableBytes = false;
-
     /** @} */
 
     /**
@@ -200,14 +192,13 @@ struct RunResult
 
     /** @{ Crash-recovery outcome (durable-log runs only). */
 
-    /** Scan report over the (possibly corrupted) durable log. */
-    kleb::RecoveryReport recovery{};
-
-    /** Recovered, gap-annotated series spliced from the log. */
-    std::optional<stats::TimeSeries> recoveredSeries;
-
-    /** Raw durable-log medium (RunConfig::keepDurableBytes only). */
-    std::vector<std::uint8_t> durableBytes;
+    /**
+     * The one recovery scan of the durable-log medium, after the
+     * post-run corruption faults (torn tail, bitflips): its report,
+     * kept samples with their epochs, core events and rate changes.
+     * LogRecovery::splice() turns it into a gap-annotated series.
+     */
+    kleb::RecoveredLog recovered;
 
     /** Supervisor bookkeeping (zero when unsupervised). */
     kleb::SupervisorStats supervisor{};
@@ -216,9 +207,6 @@ struct RunResult
 
     /** Governor bookkeeping (zero unless RunConfig::adaptive). */
     kleb::RateGovernor::Stats governor{};
-
-    /** Rate changes recovered from the durable log. */
-    std::vector<kleb::RateChangeRecord> rateChanges;
 
     /** Context switches the kernel performed during the run. */
     std::uint64_t contextSwitches = 0;

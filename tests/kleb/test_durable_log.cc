@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/random.hh"
@@ -64,6 +65,26 @@ sameReports(const RecoveryReport &a, const RecoveryReport &b)
            a.gaps.size() == b.gaps.size();
 }
 
+using CrcFn = std::uint32_t (*)(const std::uint8_t *, std::size_t,
+                                std::uint32_t);
+
+/**
+ * Both CRC32C paths: crc32c() runs the SSE4.2 instruction on hosts
+ * that have it (hostHasSse42()), crc32cPortable() the byte table.
+ */
+const std::pair<const char *, CrcFn> crcPaths[] = {
+    {"crc32c", crc32c}, {"crc32cPortable", crc32cPortable}};
+
+bool
+hostHasSse42()
+{
+#if defined(__x86_64__)
+    return __builtin_cpu_supports("sse4.2") != 0;
+#else
+    return false;
+#endif
+}
+
 } // namespace
 
 TEST(Crc32c, KnownAnswer)
@@ -71,20 +92,74 @@ TEST(Crc32c, KnownAnswer)
     // The canonical CRC32C check value: "123456789" -> 0xE3069283
     // (RFC 3720 appendix B / the iSCSI test vector).
     const char *msg = "123456789";
-    EXPECT_EQ(crc32c(reinterpret_cast<const std::uint8_t *>(msg),
-                     std::strlen(msg)),
-              0xE3069283u);
+    for (const auto &[name, crc] : crcPaths)
+        EXPECT_EQ(crc(reinterpret_cast<const std::uint8_t *>(msg),
+                      std::strlen(msg), 0),
+                  0xE3069283u)
+            << name;
+}
+
+TEST(Crc32c, Rfc3720Vectors)
+{
+    // RFC 3720 section B.4: 32 bytes of zeros, of ones, ascending
+    // and descending.
+    std::uint8_t zeros[32], ones[32], up[32], down[32];
+    for (std::uint8_t i = 0; i < 32; ++i) {
+        zeros[i] = 0x00;
+        ones[i] = 0xff;
+        up[i] = i;
+        down[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    RecordProperty("sse42", hostHasSse42() ? "yes" : "no");
+    for (const auto &[name, crc] : crcPaths) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(crc(zeros, 32, 0), 0x8A9136AAu);
+        EXPECT_EQ(crc(ones, 32, 0), 0x62A8AB43u);
+        EXPECT_EQ(crc(up, 32, 0), 0x46DD794Eu);
+        EXPECT_EQ(crc(down, 32, 0), 0x113FDB5Cu);
+    }
+}
+
+TEST(Crc32c, HardwareMatchesPortable)
+{
+    // Every length 0-200 at every start offset 0-7, so the 8-byte
+    // word loop meets each alignment and each tail length, with a
+    // zero and a nonzero seed.
+    std::vector<std::uint8_t> buf(8 + 200);
+    Random rng(3720);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next32());
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 200; ++len) {
+            const std::uint8_t *p = buf.data() + off;
+            ASSERT_EQ(crc32c(p, len), crc32cPortable(p, len))
+                << "offset " << off << " length " << len;
+            ASSERT_EQ(crc32c(p, len, 0xdeadbeef),
+                      crc32cPortable(p, len, 0xdeadbeef))
+                << "offset " << off << " length " << len;
+        }
+    }
 }
 
 TEST(Crc32c, SeedChainsIncrementally)
 {
     // crc(a+b) == crc(b, seeded with crc(a)): the seed parameter
-    // makes incremental framing possible.
-    const std::uint8_t data[] = {1, 2, 3, 4, 5, 6, 7, 8};
-    std::uint32_t whole = crc32c(data, 8);
-    std::uint32_t first = crc32c(data, 3);
-    EXPECT_EQ(crc32c(data + 3, 5, first), whole);
-    EXPECT_NE(crc32c(data, 8, 1), whole);
+    // makes incremental framing possible.  The 40-byte split puts
+    // whole 8-byte words on both sides of the cut.
+    std::uint8_t data[40];
+    for (std::uint8_t i = 0; i < 40; ++i)
+        data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    for (const auto &[name, crc] : crcPaths) {
+        SCOPED_TRACE(name);
+        std::uint32_t whole = crc(data, 8, 0);
+        std::uint32_t first = crc(data, 3, 0);
+        EXPECT_EQ(crc(data + 3, 5, first), whole);
+        EXPECT_NE(crc(data, 8, 1), whole);
+
+        whole = crc(data, 40, 0);
+        first = crc(data, 19, 0);
+        EXPECT_EQ(crc(data + 19, 21, first), whole);
+    }
 }
 
 TEST(DurableLog, LayoutAndCounters)

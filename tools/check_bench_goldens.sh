@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Rerun every experiment bench at `--quick --jobs 1 --csv` and diff
-# its standard output against bench/golden/<bench>.csv.  The one
-# host-timing line, abl_fleet_scale's "collector merge:", is dropped
-# before the comparison; everything else must match byte for byte.
-# abl_fleet_scale prints the jobs count, so --jobs 1 is part of the
-# recipe.
+# its standard output against bench/golden/<bench>.csv; every byte
+# must match.  abl_fleet_scale prints the jobs count, so --jobs 1 is
+# part of the recipe.
 #
 # usage: tools/check_bench_goldens.sh <build-dir> [--update]
 #
@@ -27,8 +25,7 @@ trap 'rm -rf "$tmp"' EXIT
 failed=0
 for file in "$golden"/*.csv; do
     bench=$(basename "$file" .csv)
-    "$build/bench/$bench" --quick --jobs 1 --csv \
-        | grep -v 'collector merge:' > "$tmp/$bench.csv"
+    "$build/bench/$bench" --quick --jobs 1 --csv > "$tmp/$bench.csv"
     if [[ -n $update ]]; then
         cp "$tmp/$bench.csv" "$file"
         echo "updated $bench"

@@ -46,71 +46,24 @@ trimmed(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/**
- * Remove comments and the contents of string/char literals so that
- * documentation or a table heading mentioning a banned API does not
- * trip the rules.  Tracks block-comment state across lines; raw
- * string literals are treated like ordinary ones (good enough for a
- * lenient scan — a missed violation inside one is acceptable).
- */
 std::vector<std::string>
-stripCommentsAndStrings(const std::vector<std::string> &lines)
+splitLines(const std::string &content)
 {
-    std::vector<std::string> out;
-    out.reserve(lines.size());
-    bool in_block = false;
-    for (const std::string &line : lines) {
-        std::string kept;
-        for (std::size_t i = 0; i < line.size();) {
-            if (in_block) {
-                if (line.compare(i, 2, "*/") == 0) {
-                    in_block = false;
-                    i += 2;
-                } else {
-                    ++i;
-                }
-                continue;
-            }
-            if (line.compare(i, 2, "/*") == 0) {
-                in_block = true;
-                i += 2;
-                continue;
-            }
-            if (line.compare(i, 2, "//") == 0)
-                break;
-            char c = line[i];
-            if (c == '"' || c == '\'') {
-                // Skip the literal body; literals do not span lines.
-                kept += c;
-                ++i;
-                while (i < line.size() && line[i] != c) {
-                    if (line[i] == '\\')
-                        ++i;
-                    ++i;
-                }
-                if (i < line.size()) {
-                    kept += c;
-                    ++i;
-                }
-                continue;
-            }
-            kept += c;
-            ++i;
-        }
-        out.push_back(std::move(kept));
-    }
-    return out;
+    std::vector<std::string> lines;
+    std::istringstream in(content);
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
 }
 
-/** Rule ids the token engine implements structurally. */
-bool
-tokenImplemented(const std::string &id)
+/** Trimmed text of 1-based line @p lineno ("" when out of range). */
+std::string
+lineAt(const std::vector<std::string> &lines, std::size_t lineno)
 {
-    return id == "wall-clock" || id == "raw-random" ||
-           id == "event-new" || id == "raw-thread" ||
-           id == "hot-std-function" || id == "printf-family" ||
-           id == "mutex-raii" || id == "hot-alloc" ||
-           id == "detached-thread" || id == "percpu-access";
+    return lineno >= 1 && lineno <= lines.size()
+               ? trimmed(lines[lineno - 1])
+               : std::string();
 }
 
 bool
@@ -329,6 +282,53 @@ matchTokenRules(const std::vector<Token> &toks,
     }
 }
 
+/** One KLEB_FAULT_POINT(name, "key") entry of the fault registry. */
+struct FaultEntry
+{
+    std::string name;
+    std::string key;  //!< spec key; empty if not a plain literal
+    std::size_t line; //!< line of the KLEB_FAULT_POINT token
+};
+
+/**
+ * Parse the registry's `KLEB_FAULT_POINT ( ident , "key" )` token
+ * runs.  Comments vanish in the lexer, so the table's documentation
+ * of the macro form registers nothing, and an entry may span lines.
+ */
+std::vector<FaultEntry>
+parseFaultPoints(const std::string &def_content)
+{
+    const std::vector<Token> toks = lexTokens(def_content);
+    std::vector<FaultEntry> out;
+    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
+        if (!toks[i].isIdent("KLEB_FAULT_POINT") ||
+            !toks[i + 1].isPunct("(") ||
+            toks[i + 2].kind != TokKind::identifier)
+            continue;
+        FaultEntry e{toks[i + 2].text, "", toks[i].line};
+        if (i + 4 < toks.size() && toks[i + 3].isPunct(",") &&
+            toks[i + 4].kind == TokKind::stringLit) {
+            const std::string &lit = toks[i + 4].text;
+            if (lit.size() >= 2 && lit.front() == '"' &&
+                lit.back() == '"')
+                e.key = lit.substr(1, lit.size() - 2);
+        }
+        out.push_back(std::move(e));
+    }
+    return out;
+}
+
+/** The fault plan and table name every point by construction. */
+bool
+isRegistryFile(const std::string &rel)
+{
+    std::size_t slash = rel.find_last_of('/');
+    std::string base =
+        slash == std::string::npos ? rel : rel.substr(slash + 1);
+    return base.starts_with("fault_plan.") ||
+           base.starts_with("fault_points.");
+}
+
 } // anonymous namespace
 
 std::string
@@ -342,80 +342,57 @@ LintViolation::str() const
 }
 
 Linter::Linter()
+    : rules_{
+          {"wall-clock",
+           "host wall-clock APIs leak nondeterminism; use "
+           "simulated Ticks (base/types.hh)",
+           {"src", "bench", "examples"}},
+          {"raw-random",
+           "unseeded/global randomness breaks replay; draw from a "
+           "forked base/random stream",
+           {"src", "bench", "examples"}},
+          {"event-new",
+           "raw wrapper allocation loses autoDelete ownership; "
+           "use EventQueue::scheduleLambda",
+           {"src", "bench", "examples"}},
+          {"raw-thread",
+           "raw thread construction bypasses the trial pool's "
+           "determinism contract; fan work out through "
+           "bench::TrialPool (bench_support/trial_pool.hh)",
+           {"src", "bench", "examples"}},
+          {"hot-std-function",
+           "std::function heap-allocates captured state on the "
+           "simulator's hot paths; store sim::InlineCallable "
+           "(sim/inline_callable.hh) or a concrete functor "
+           "instead (allowlist cold setup/configuration hooks)",
+           {"src/sim", "src/hw"}},
+          {"printf-family",
+           "raw stdio in the simulator; report through "
+           "base/logging or format with base/str",
+           {"src"}},
+          {"mutex-raii",
+           "bare lock()/unlock() can leak the mutex on early "
+           "return or throw; hold it through TrackedLock "
+           "(base/thread_safety.hh) or std::lock_guard",
+           {"src", "bench", "examples"}},
+          {"hot-alloc",
+           "KLEB_HOT functions are allocation-free by contract; "
+           "hoist the allocation out of the hot path or drop the "
+           "marker",
+           {"src", "bench", "examples"}},
+          {"detached-thread",
+           "a detached thread escapes every join/determinism "
+           "guarantee; fan work out through bench::TrialPool and "
+           "join it",
+           {"src", "bench", "examples"}},
+          {"percpu-access",
+           "per-CPU state indexed by something that is not "
+           "legibly a core id; index with the CoreId (or a "
+           "core/cpu-named variable) so cross-core aliasing is "
+           "auditable",
+           {"src", "bench", "examples"}},
+      }
 {
-    addRule({"wall-clock",
-             R"(std::chrono::(system_clock|steady_clock|high_resolution_clock))"
-             R"(|\b(gettimeofday|clock_gettime|localtime|gmtime|mktime|asctime|ctime)\s*\()"
-             R"(|\btime\s*\()",
-             "host wall-clock APIs leak nondeterminism; use "
-             "simulated Ticks (base/types.hh)",
-             {"src", "bench", "examples"}});
-
-    addRule({"raw-random",
-             R"(\b(rand|srand|srandom|drand48|lrand48)\s*\()"
-             R"(|std::random_device|\bmt19937)",
-             "unseeded/global randomness breaks replay; draw from a "
-             "forked base/random stream",
-             {"src", "bench", "examples"}});
-
-    addRule({"event-new",
-             R"(new\s+(klebsim::)?(sim::)?EventFunctionWrapper)",
-             "raw wrapper allocation loses autoDelete ownership; "
-             "use EventQueue::scheduleLambda",
-             {"src", "bench", "examples"}});
-
-    addRule({"raw-thread",
-             R"(std::j?thread\b(?!::))",
-             "raw thread construction bypasses the trial pool's "
-             "determinism contract; fan work out through "
-             "bench::TrialPool (bench_support/trial_pool.hh)",
-             {"src", "bench", "examples"}});
-
-    addRule({"hot-std-function",
-             R"(std::function\s*<)",
-             "std::function heap-allocates captured state on the "
-             "simulator's hot paths; store sim::InlineCallable "
-             "(sim/inline_callable.hh) or a concrete functor "
-             "instead (allowlist cold setup/configuration hooks)",
-             {"src/sim", "src/hw"}});
-
-    addRule({"printf-family",
-             R"(\b(printf|fprintf|sprintf|snprintf|vsnprintf|vsprintf|vfprintf|puts|putchar|fputs)\s*\()"
-             R"(|std::(cout|cerr))",
-             "raw stdio in the simulator; report through "
-             "base/logging or format with base/str",
-             {"src"}});
-
-    addRule({"mutex-raii",
-             "", // token-structural: (.|->) lock/unlock (
-             "bare lock()/unlock() can leak the mutex on early "
-             "return or throw; hold it through TrackedLock "
-             "(base/thread_safety.hh) or std::lock_guard",
-             {"src", "bench", "examples"}});
-
-    addRule({"hot-alloc",
-             "", // token-structural: allocation inside a KLEB_HOT body
-             "KLEB_HOT functions are allocation-free by contract; "
-             "hoist the allocation out of the hot path or drop the "
-             "marker",
-             {"src", "bench", "examples"}});
-
-    addRule({"detached-thread",
-             "", // token-structural: (.|->) detach (
-             "a detached thread escapes every join/determinism "
-             "guarantee; fan work out through bench::TrialPool and "
-             "join it",
-             {"src", "bench", "examples"}});
-
-    addRule({"percpu-access",
-             "", // token-structural: perCpu container indexed by a
-                 // non-core expression
-             "per-CPU state indexed by something that is not "
-             "legibly a core id; index with the CoreId (or a "
-             "core/cpu-named variable) so cross-core aliasing is "
-             "auditable",
-             {"src", "bench", "examples"}});
-
     // Canonical carve-outs: the facilities the rules point at.
     allow("raw-random", "src/base/random");
     allow("printf-family", "src/base/logging.cc");
@@ -423,19 +400,6 @@ Linter::Linter()
     allow("event-new", "src/sim/event_queue.cc");
     allow("raw-thread", "src/bench_support/trial_pool");
     allow("mutex-raii", "src/base/thread_safety");
-}
-
-void
-Linter::addRule(const LintRule &rule)
-{
-    rules_.push_back(rule);
-    // Token-structural rules carry no regex; park an empty regex to
-    // keep the two vectors index-aligned.
-    compiled_.emplace_back(rule.pattern.empty()
-                               ? std::regex()
-                               : std::regex(rule.pattern,
-                                            std::regex::ECMAScript |
-                                                std::regex::optimize));
 }
 
 void
@@ -574,80 +538,41 @@ Linter::scanSource(const std::string &rel_path,
                    const std::string &content) const
 {
     std::vector<LintViolation> out;
-
-    std::vector<std::string> lines;
-    std::string line;
-    std::istringstream in(content);
-    while (std::getline(in, line))
-        lines.push_back(line);
+    const std::vector<std::string> lines = splitLines(content);
 
     if (headerExtension(rel_path))
         checkGuard(rel_path, lines, out);
 
-    auto lineText = [&lines](std::size_t lineno) {
-        return lineno >= 1 && lineno <= lines.size()
-                   ? trimmed(lines[lineno - 1])
-                   : std::string();
-    };
-
-    // Token engine: every built-in rule matches structurally on one
-    // shared token stream.
+    // Every rule matches structurally on one shared token stream.
     std::vector<const LintRule *> active(rules_.size(), nullptr);
-    bool anyToken = false;
+    bool any = false;
     for (std::size_t r = 0; r < rules_.size(); ++r) {
         const LintRule &rule = rules_[r];
-        if (!tokenImplemented(rule.id) ||
-            !ruleApplies(rule, rel_path) ||
-            allowed(rule.id, rel_path))
+        if (!ruleApplies(rule, rel_path) || allowed(rule.id, rel_path))
             continue;
         active[r] = &rule;
-        anyToken = true;
+        any = true;
     }
-    if (anyToken) {
-        const std::vector<Token> toks = lexTokens(content);
-        std::vector<TokenHit> hits;
-        matchTokenRules(toks, active, hits);
-        // Report per (rule, line) — a line that trips a rule twice
-        // is still one finding — ordered rule-major then by line,
-        // the order the line engine produced.
-        std::sort(hits.begin(), hits.end(),
-                  [](const TokenHit &a, const TokenHit &b) {
-                      return a.rule != b.rule ? a.rule < b.rule
-                                              : a.line < b.line;
-                  });
-        const TokenHit *last = nullptr;
-        for (const TokenHit &h : hits) {
-            if (last && last->rule == h.rule && last->line == h.line)
-                continue;
-            last = &h;
-            out.push_back({rules_[h.rule].id, rel_path, h.line,
-                           lineText(h.line),
-                           rules_[h.rule].message});
-        }
-    }
+    if (!any)
+        return out;
 
-    // Legacy line-regex engine for custom (non-built-in) rules.
-    bool anyRegex = false;
-    for (std::size_t r = 0; r < rules_.size(); ++r)
-        if (!rules_[r].pattern.empty() &&
-            !tokenImplemented(rules_[r].id))
-            anyRegex = true;
-    if (anyRegex) {
-        const std::vector<std::string> code =
-            stripCommentsAndStrings(lines);
-        for (std::size_t r = 0; r < rules_.size(); ++r) {
-            const LintRule &rule = rules_[r];
-            if (rule.pattern.empty() || tokenImplemented(rule.id) ||
-                !ruleApplies(rule, rel_path) ||
-                allowed(rule.id, rel_path))
-                continue;
-            for (std::size_t i = 0; i < code.size(); ++i) {
-                if (std::regex_search(code[i], compiled_[r]))
-                    out.push_back({rule.id, rel_path, i + 1,
-                                   trimmed(lines[i]),
-                                   rule.message});
-            }
-        }
+    const std::vector<Token> toks = lexTokens(content);
+    std::vector<TokenHit> hits;
+    matchTokenRules(toks, active, hits);
+    // Report per (rule, line) — a line that trips a rule twice is
+    // still one finding — ordered rule-major, then by line.
+    std::sort(hits.begin(), hits.end(),
+              [](const TokenHit &a, const TokenHit &b) {
+                  return a.rule != b.rule ? a.rule < b.rule
+                                          : a.line < b.line;
+              });
+    const TokenHit *last = nullptr;
+    for (const TokenHit &h : hits) {
+        if (last && last->rule == h.rule && last->line == h.line)
+            continue;
+        last = &h;
+        out.push_back({rules_[h.rule].id, rel_path, h.line,
+                       lineAt(lines, h.line), rules_[h.rule].message});
     }
     return out;
 }
@@ -663,101 +588,54 @@ Linter::checkFaultHookCoverage(
     if (allowed(rule, def_rel_path))
         return out;
 
-    static const std::regex entry(
-        R"(KLEB_FAULT_POINT\(\s*([A-Za-z_]\w*))",
-        std::regex::ECMAScript | std::regex::optimize);
-
-    auto references = [](const std::string &content,
-                         const std::string &name) {
-        const std::string needle = "FaultPoint::" + name;
-        for (std::size_t pos = content.find(needle);
-             pos != std::string::npos;
-             pos = content.find(needle, pos + 1)) {
-            std::size_t end = pos + needle.size();
-            char next = end < content.size() ? content[end] : ' ';
-            if (!std::isalnum(static_cast<unsigned char>(next)) &&
-                next != '_')
-                return true;
-        }
-        return false;
-    };
-
-    auto isRegistryFile = [](const std::string &rel) {
-        std::size_t slash = rel.find_last_of('/');
-        std::string base =
-            slash == std::string::npos ? rel : rel.substr(slash + 1);
-        return base.starts_with("fault_plan.") ||
-               base.starts_with("fault_points.");
-    };
-
-    std::vector<std::string> lines;
-    {
-        std::istringstream in(def_content);
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
+    // A point is wired where code names it as the token run
+    // `FaultPoint :: name`; a mention in a comment or string is not
+    // a hook.
+    std::set<std::string> hooked;
+    for (const auto &[rel, content] : sources) {
+        if (isRegistryFile(rel))
+            continue;
+        const std::vector<Token> toks = lexTokens(content);
+        for (std::size_t i = 0; i + 2 < toks.size(); ++i)
+            if (toks[i].isIdent("FaultPoint") &&
+                toks[i + 1].isPunct("::") &&
+                toks[i + 2].kind == TokKind::identifier)
+                hooked.insert(toks[i + 2].text);
     }
-    // The spec key lives inside a string literal (which the stripper
-    // blanks), so key extraction matches the raw line — but only on
-    // lines that survive comment stripping, so the table's own
-    // documentation does not register entries.
-    static const std::regex keyed(
-        R"re(KLEB_FAULT_POINT\(\s*([A-Za-z_]\w*)\s*,\s*"([^"]*)")re",
-        std::regex::ECMAScript | std::regex::optimize);
 
-    // Strip comments so the table's own documentation (which shows
-    // the macro form) is not mistaken for an entry.
-    const std::vector<std::string> code =
-        stripCommentsAndStrings(lines);
+    const std::vector<std::string> lines = splitLines(def_content);
     std::map<std::string, std::size_t> seen_names;
     std::map<std::string, std::size_t> seen_keys;
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        const std::size_t lineno = i + 1;
-        std::smatch m;
-        if (!std::regex_search(code[i], m, entry))
-            continue;
-        const std::string name = m[1].str();
+    for (const FaultEntry &e : parseFaultPoints(def_content)) {
+        const std::string text = lineAt(lines, e.line);
 
         // Registering the same enumerator or the same spec key twice
         // would make the later entry shadow the earlier one in the
         // parser's if/else chain — one of the two faults becomes
         // unreachable from any spec string.
-        auto [name_it, name_fresh] =
-            seen_names.emplace(name, lineno);
+        auto [name_it, name_fresh] = seen_names.emplace(e.name, e.line);
         if (!name_fresh)
             out.push_back(
-                {rule, def_rel_path, lineno, trimmed(lines[i]),
+                {rule, def_rel_path, e.line, text,
                  csprintf("fault point '%s' is registered twice "
                           "(first registered on line %zu)",
-                          name.c_str(), name_it->second)});
-        std::smatch km;
-        if (std::regex_search(lines[i], km, keyed)) {
-            const std::string key = km[2].str();
-            auto [key_it, key_fresh] =
-                seen_keys.emplace(key, lineno);
+                          e.name.c_str(), name_it->second)});
+        if (!e.key.empty()) {
+            auto [key_it, key_fresh] = seen_keys.emplace(e.key, e.line);
             if (!key_fresh)
                 out.push_back(
-                    {rule, def_rel_path, lineno, trimmed(lines[i]),
+                    {rule, def_rel_path, e.line, text,
                      csprintf("fault spec key '%s' is registered "
                               "twice (first registered on line %zu)",
-                              key.c_str(), key_it->second)});
+                              e.key.c_str(), key_it->second)});
         }
 
-        bool hooked = false;
-        for (const auto &[rel, content] : sources) {
-            if (isRegistryFile(rel))
-                continue;
-            if (references(content, name)) {
-                hooked = true;
-                break;
-            }
-        }
-        if (!hooked)
+        if (!hooked.count(e.name))
             out.push_back(
-                {rule, def_rel_path, lineno, trimmed(lines[i]),
-                 "fault point '" + name +
+                {rule, def_rel_path, e.line, text,
+                 "fault point '" + e.name +
                      "' is registered but never wired to a hook "
-                     "(no FaultPoint::" + name +
+                     "(no FaultPoint::" + e.name +
                      " reference outside the registry)"});
     }
     return out;
@@ -774,44 +652,28 @@ Linter::checkHeartbeatCoverage(
     if (allowed(rule, def_rel_path))
         return out;
 
-    // The spec key lives inside a string literal, so match the raw
-    // line — but only on lines that survive comment stripping, so
-    // the table's own documentation does not register entries.
-    static const std::regex entry(
-        R"re(KLEB_FAULT_POINT\(\s*([A-Za-z_]\w*)\s*,\s*"([^"]+)")re",
-        std::regex::ECMAScript | std::regex::optimize);
+    // A test injects a fault through a spec string, so only string
+    // literals count; a key named in a comment injects nothing.
+    std::vector<std::string> literals;
+    for (const auto &test : tests)
+        for (const Token &t : lexTokens(test.second))
+            if (t.kind == TokKind::stringLit)
+                literals.push_back(t.text);
 
-    std::vector<std::string> lines;
-    {
-        std::istringstream in(def_content);
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-    }
-    const std::vector<std::string> code =
-        stripCommentsAndStrings(lines);
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        if (code[i].find("KLEB_FAULT_POINT") == std::string::npos)
+    const std::vector<std::string> lines = splitLines(def_content);
+    for (const FaultEntry &e : parseFaultPoints(def_content)) {
+        if (!e.key.starts_with("controller.") &&
+            !e.key.starts_with("log."))
             continue;
-        std::smatch m;
-        if (!std::regex_search(lines[i], m, entry))
-            continue;
-        const std::string key = m[2].str();
-        if (!key.starts_with("controller.") &&
-            !key.starts_with("log."))
-            continue;
-        bool exercised = false;
-        for (const auto &[rel, content] : tests) {
-            (void)rel;
-            if (content.find(key) != std::string::npos) {
-                exercised = true;
-                break;
-            }
-        }
-        if (!exercised)
+        const bool injected =
+            std::any_of(literals.begin(), literals.end(),
+                        [&e](const std::string &lit) {
+                            return lit.find(e.key) != std::string::npos;
+                        });
+        if (!injected)
             out.push_back(
-                {rule, def_rel_path, i + 1, trimmed(lines[i]),
-                 "supervised-pipeline fault point '" + key +
+                {rule, def_rel_path, e.line, lineAt(lines, e.line),
+                 "supervised-pipeline fault point '" + e.key +
                      "' is never injected by a chaos test under "
                      "tests/"});
     }
@@ -900,7 +762,7 @@ Linter::scanTree(const std::string &root) const
                    file_violations.end());
     }
 
-    // The chaos tests are not pattern-scanned (tests may use raw
+    // The chaos tests are not rule-scanned (tests may use raw
     // stdio etc.), but heartbeat coverage and allowlist hygiene
     // need to see them.
     std::vector<std::string> testFiles;

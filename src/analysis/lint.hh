@@ -38,14 +38,15 @@
  *                   guard derived from their path;
  *  - fault-hook-coverage: every fault point registered in the
  *                   central table (src/fault/fault_points.def) must
- *                   be wired up somewhere outside the registry
+ *                   be named in code somewhere outside the registry
  *                   itself — a declared-but-unhooked fault point is
  *                   a coverage hole, not a feature;
  *  - heartbeat-coverage: every fault point whose spec key targets
  *                   the supervised pipeline ("controller." or
- *                   "log." prefix) must be exercised by at least
- *                   one chaos test under tests/ — a crash-path
- *                   fault nobody injects is untested recovery code;
+ *                   "log." prefix) must be injected by a spec string
+ *                   in at least one chaos test under tests/ — a
+ *                   crash-path fault nobody injects is untested
+ *                   recovery code;
  *  - allowlist-dangling: every allowlist entry loaded from a file
  *                   must still match at least one existing source
  *                   file AND name a rule that still exists, so
@@ -59,17 +60,15 @@
  * Scanning is token-level (see token_lexer.hh): rules match
  * identifier/punctuation sequences on a comment-, string- and
  * raw-string-aware token stream, with brace tracking for the
- * scope-sensitive rules.  Custom rules registered with a non-empty
- * regex pattern still run line-wise over comment/string-stripped
- * text (the pre-token engine), so downstream users can add ad-hoc
- * bans without writing a token matcher.
+ * scope-sensitive rules.  The fault-registry checks read the same
+ * token stream, so a comment never counts as a hook or an
+ * injection.
  */
 
 #ifndef KLEBSIM_ANALYSIS_LINT_HH
 #define KLEBSIM_ANALYSIS_LINT_HH
 
 #include <cstddef>
-#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,17 +77,13 @@ namespace klebsim::analysis
 {
 
 /**
- * One rule (the include-guard check is built in).  Built-in rules
- * are matched structurally on the token stream; @p pattern is kept
- * as the executable reference semantics (the legacy line-regex
- * engine, which custom rules still run on and the parity tests
- * compare against).  Token-only structural rules (mutex-raii,
- * hot-alloc, detached-thread) have an empty pattern.
+ * One token rule; its matcher lives in lint.cc under the same id.
+ * The include-guard, fault-registry and allowlist checks are built
+ * in and have no entry.
  */
 struct LintRule
 {
     std::string id;
-    std::string pattern; //!< ECMAScript regex, applied per line
     std::string message;
     std::vector<std::string> dirs; //!< top-level dirs it applies to
 };
@@ -108,11 +103,8 @@ struct LintViolation
 class Linter
 {
   public:
-    /** Installs the default rules and canonical carve-outs. */
+    /** Installs the rules and canonical carve-outs. */
     Linter();
-
-    /** Register an additional pattern rule. */
-    void addRule(const LintRule &rule);
 
     const std::vector<LintRule> &rules() const { return rules_; }
 
@@ -150,11 +142,13 @@ class Linter
     /**
      * Check the fault-point registry (@p def_content, the X-macro
      * table at @p def_rel_path) against @p sources: every
-     * KLEB_FAULT_POINT(name, key) entry must be referenced as
-     * `FaultPoint::name` by at least one source other than the
-     * registry's own parser (fault_plan.*) — evidence the point is
-     * wired to a real hook.  scanTree() runs this automatically
-     * when the tree contains src/fault/fault_points.def.
+     * KLEB_FAULT_POINT(name, key) entry must be named by the code
+     * tokens `FaultPoint::name` in at least one source other than
+     * the registry's own files (fault_plan.*, fault_points.*) —
+     * evidence the point is wired to a real hook; comments and
+     * strings do not count.  Also flags an enumerator or spec key
+     * registered twice.  scanTree() runs this automatically when
+     * the tree contains src/fault/fault_points.def.
      */
     std::vector<LintViolation> checkFaultHookCoverage(
         const std::string &def_rel_path,
@@ -166,8 +160,9 @@ class Linter
      * Check the fault-point registry's supervised-pipeline entries
      * against the chaos tests: every KLEB_FAULT_POINT whose spec
      * key starts with "controller." or "log." must have its key
-     * appear in at least one of @p tests (rel-path/content pairs
-     * from tests/).  scanTree() runs this automatically.
+     * appear inside a string literal of at least one of @p tests
+     * (rel-path/content pairs from tests/); a comment naming it is
+     * not an injection.  scanTree() runs this automatically.
      */
     std::vector<LintViolation> checkHeartbeatCoverage(
         const std::string &def_rel_path,
@@ -178,7 +173,7 @@ class Linter
     /**
      * Verify every file-loaded allowlist entry still matches at
      * least one path in @p files (repo-relative) AND names a rule
-     * this linter knows (pattern/token rules or one of the built-in
+     * this linter knows (a token rule or one of the built-in
      * checks).  Dangling entries are reported against the allowlist
      * file itself, so pruning a source file — or retiring a rule —
      * forces its carve-outs to be pruned too.
@@ -186,7 +181,7 @@ class Linter
     std::vector<LintViolation> checkAllowlistEntries(
         const std::vector<std::string> &files) const;
 
-    /** True if @p rule_id names a pattern/token or built-in rule. */
+    /** True if @p rule_id names a token or built-in rule. */
     bool knownRule(const std::string &rule_id) const;
 
     /** Scan src/, bench/ and examples/ under @p root. */
@@ -214,7 +209,6 @@ class Linter
     };
 
     std::vector<LintRule> rules_;
-    std::vector<std::regex> compiled_;
     std::vector<std::pair<std::string, std::string>> allow_;
     std::vector<AllowlistEntry> loaded_;
 };

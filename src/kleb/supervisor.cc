@@ -4,7 +4,6 @@
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
-#include "base/thread_safety.hh"
 #include "kernel/kernel.hh"
 #include "kernel/process.hh"
 
@@ -52,8 +51,6 @@ SupervisorBehavior::nextOp(kernel::Kernel &kernel,
         state_ = State::poll;
         return Op::makeSyscall(
             [this](kernel::Kernel &k, kernel::Process &) {
-                KLEB_ANNOTATE_ACCESS(&stats_,
-                                     "kleb.Supervisor.stats");
                 ++stats_.polls;
                 if (ward_.finishedCleanly()) {
                     state_ = State::done;
@@ -110,8 +107,6 @@ SupervisorBehavior::nextOp(kernel::Kernel &kernel,
         state_ = State::poll;
         return Op::makeSyscall(
             [this](kernel::Kernel &k, kernel::Process &) {
-                KLEB_ANNOTATE_ACCESS(&stats_,
-                                     "kleb.Supervisor.stats");
                 kernel::Process *np = ward_.restart(deathTick_);
                 if (np == nullptr) {
                     state_ = State::done;

@@ -185,7 +185,6 @@ EventQueue::schedule(Event *ev, Tick when)
              "event '", ev->name(), "' already scheduled");
     panic_if(when < curTick_, "event '", ev->name(),
              "' scheduled in the past (", when, " < ", curTick_, ")");
-    KLEB_ANNOTATE_ACCESS(&head_, "sim.EventQueue.pending");
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
@@ -203,7 +202,6 @@ EventQueue::deschedule(Event *ev)
     panic_if(ev == nullptr, "deschedule of null event");
     panic_if(ev->queue_ != this,
              "event '", ev->name(), "' not scheduled on this queue");
-    KLEB_ANNOTATE_ACCESS(&head_, "sim.EventQueue.pending");
     remove(ev);
     --size_;
     ev->queue_ = nullptr;
@@ -299,7 +297,6 @@ EventQueue::runOne()
 {
     if (head_ == nullptr)
         return false;
-    KLEB_ANNOTATE_ACCESS(&head_, "sim.EventQueue.pending");
     Event *ev = popHead();
     --size_;
     dispatch(ev);
@@ -310,7 +307,6 @@ KLEB_HOT std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t n = 0;
-    KLEB_ANNOTATE_ACCESS(&head_, "sim.EventQueue.pending");
     while (head_ != nullptr && head_->when_ <= limit) {
         Event *ev = popHead();
         --size_;
@@ -368,7 +364,6 @@ EventQueue::setTieBreakSalt(std::uint64_t salt)
 {
     if (salt == tieSalt_)
         return;
-    KLEB_ANNOTATE_ACCESS(&head_, "sim.EventQueue.pending");
     tieSalt_ = salt;
     // Bin membership depends only on (tick, priority), so the bin
     // list stands; only each bin's chain order follows the salt.

@@ -171,11 +171,8 @@ class EventQueueListener
 
 /**
  * The global-ordering event queue.  Single-threaded by design; the
- * simulated machine owns exactly one.  The mutating entry points are
- * instrumented as the "sim.EventQueue.pending" shared location
- * (base/thread_safety.hh), so a lockset-checked test catches any two
- * threads that ever touch the same queue — the single-owner contract
- * is enforced, not just documented.
+ * simulated machine owns exactly one, and trials never share a
+ * machine (bench_support/trial_pool.hh).
  */
 class EventQueue
 {

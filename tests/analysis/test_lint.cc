@@ -179,23 +179,6 @@ TEST(Lint, HotStdFunctionRuleAppliesToSubstrateOnly)
     EXPECT_FALSE(flagged(vs, "hot-std-function"));
 }
 
-TEST(Lint, HotStdFunctionCleanOnRealTree)
-{
-    // The substrate itself must pass its own rule (modulo the
-    // shipped allowlist's justified carve-outs) — this is what the
-    // `lint.sources` tier-1 test enforces repo-wide.
-    namespace fs = std::filesystem;
-    if (!fs::exists(fs::path("tools") / "lint_allowlist.txt"))
-        GTEST_SKIP() << "run from the repo root to check the tree";
-    Linter linter;
-    std::string err;
-    ASSERT_TRUE(linter.loadAllowlist("tools/lint_allowlist.txt",
-                                     &err))
-        << err;
-    for (const auto &v : linter.scanTree("."))
-        EXPECT_NE(v.rule, "hot-std-function") << v.str();
-}
-
 TEST(Lint, PrintfRuleAppliesToSrcOnly)
 {
     Linter linter;
@@ -403,7 +386,10 @@ TEST(Lint, FaultHookCoverageIgnoresRegistryAndComments)
          // A prefix match ("FaultPoint::readerStallX") is not a
          // reference either.
          {"src/fault/fault_injector.cc",
-          "use(FaultPoint::readerStallExtra);\n"}};
+          "use(FaultPoint::readerStallExtra);\n"},
+         // Nor is a mention in a comment.
+         {"src/kleb/reader.cc",
+          "// FaultPoint::readerStall is wired later\n"}};
     auto vs = linter.checkFaultHookCoverage(
         "src/fault/fault_points.def", def, registry_only);
     ASSERT_EQ(vs.size(), 1u);
@@ -422,29 +408,22 @@ TEST(Lint, FaultHookCoverageRespectsAllowlist)
                     .empty());
 }
 
-TEST(Lint, FaultHookCoverageCleanOnRealTree)
-{
-    // The shipped registry must be fully wired (this is the check
-    // the `lint.sources` tier-1 test runs over the repo).
-    namespace fs = std::filesystem;
-    fs::path def = fs::path("src") / "fault" / "fault_points.def";
-    if (!fs::exists(def))
-        GTEST_SKIP() << "run from the repo root to check the tree";
-    Linter linter;
-    for (const auto &v : linter.scanTree("."))
-        EXPECT_NE(v.rule, "fault-hook-coverage") << v.str();
-}
-
 TEST(Lint, HeartbeatCoverageFlagsUntestedCrashFault)
 {
     Linter linter;
+    // An entry may span lines; it is still one entry.
     const std::string def =
-        "KLEB_FAULT_POINT(controllerCrash, \"controller.crash\")\n"
+        "KLEB_FAULT_POINT(controllerCrash,\n"
+        "                 \"controller.crash\")\n"
         "KLEB_FAULT_POINT(logTornTail, \"log.torn_tail\")\n";
 
-    // No chaos test mentions either key: two coverage holes.
+    // No chaos test injects either key — naming one in a comment is
+    // not an injection: two coverage holes.
+    std::vector<std::pair<std::string, std::string>> tests = {
+        {"tests/fault/test_recovery_chaos.cc",
+         "// TODO inject log.torn_tail here\n"}};
     auto vs = linter.checkHeartbeatCoverage(
-        "src/fault/fault_points.def", def, {});
+        "src/fault/fault_points.def", def, tests);
     ASSERT_EQ(vs.size(), 2u);
     EXPECT_EQ(vs[0].rule, "heartbeat-coverage");
     EXPECT_EQ(vs[0].line, 1u);
@@ -454,9 +433,7 @@ TEST(Lint, HeartbeatCoverageFlagsUntestedCrashFault)
               std::string::npos);
 
     // A test injecting one key clears exactly that entry.
-    std::vector<std::pair<std::string, std::string>> tests = {
-        {"tests/fault/test_recovery_chaos.cc",
-         "runSupervised(\"controller.crash=8ms\", 1);\n"}};
+    tests[0].second += "runSupervised(\"controller.crash=8ms\", 1);\n";
     vs = linter.checkHeartbeatCoverage(
         "src/fault/fault_points.def", def, tests);
     ASSERT_EQ(vs.size(), 1u);
@@ -478,19 +455,6 @@ TEST(Lint, HeartbeatCoverageOnlySupervisedPrefixes)
                     .checkHeartbeatCoverage(
                         "src/fault/fault_points.def", def, {})
                     .empty());
-}
-
-TEST(Lint, HeartbeatCoverageCleanOnRealTree)
-{
-    // Every controller.* / log.* fault point shipped must be
-    // injected by at least one chaos test (part of `lint.sources`).
-    namespace fs = std::filesystem;
-    fs::path def = fs::path("src") / "fault" / "fault_points.def";
-    if (!fs::exists(def))
-        GTEST_SKIP() << "run from the repo root to check the tree";
-    Linter linter;
-    for (const auto &v : linter.scanTree("."))
-        EXPECT_NE(v.rule, "heartbeat-coverage") << v.str();
 }
 
 TEST(Lint, AllowlistDanglingEntryFlagged)
@@ -528,22 +492,6 @@ TEST(Lint, AllowlistDanglingEntryFlagged)
     EXPECT_EQ(dir_linter.checkAllowlistEntries({"src/kleb/a.cc"})
                   .size(),
               1u);
-}
-
-TEST(Lint, AllowlistCleanOnRealTree)
-{
-    // The shipped allowlist must not carry carve-outs for files
-    // that no longer exist.
-    namespace fs = std::filesystem;
-    if (!fs::exists(fs::path("tools") / "lint_allowlist.txt"))
-        GTEST_SKIP() << "run from the repo root to check the tree";
-    Linter linter;
-    std::string err;
-    ASSERT_TRUE(linter.loadAllowlist("tools/lint_allowlist.txt",
-                                     &err))
-        << err;
-    for (const auto &v : linter.scanTree("."))
-        EXPECT_NE(v.rule, "allowlist-dangling") << v.str();
 }
 
 TEST(Lint, FlagsBareMutexLocking)
@@ -637,11 +585,13 @@ TEST(Lint, BannedSpellingsInLiteralsAndCommentsStayLegal)
         "src/kleb/foo.cc",
         "// gate.lock() and t.detach() in a comment\n"
         "const char *s = \"m.lock() rand() new int\";\n"
-        "const char *r = R\"(v.push_back(1) t.detach())\";\n");
+        "const char *r = R\"(v.push_back(1) t.detach())\";\n"
+        // Embedded quotes in a raw string do not end it early.
+        "const char *q = R\"x(a\"b\"c\" rand() tail)x\";\n");
     EXPECT_TRUE(vs.empty());
 }
 
-TEST(Lint, KnownRuleCoversPatternTokenAndBuiltinRules)
+TEST(Lint, KnownRuleCoversTokenAndBuiltinRules)
 {
     Linter linter;
     EXPECT_TRUE(linter.knownRule("wall-clock"));
@@ -651,9 +601,6 @@ TEST(Lint, KnownRuleCoversPatternTokenAndBuiltinRules)
     EXPECT_TRUE(linter.knownRule("heartbeat-coverage"));
     EXPECT_TRUE(linter.knownRule("allowlist-dangling"));
     EXPECT_FALSE(linter.knownRule("phase-of-moon"));
-
-    linter.addRule({"custom-ban", "forbidden", "message", {"src"}});
-    EXPECT_TRUE(linter.knownRule("custom-ban"));
 }
 
 TEST(Lint, AllowlistEntryWithUnknownRuleFlagged)

@@ -3,22 +3,13 @@
  * Tests for the token-level lint engine (analysis/token_lexer +
  * the structural rule matchers in analysis/lint).
  *
- * Three layers: lexer unit tests (raw strings, comments, literals,
- * line numbers), scope-tracking checks through scanSource, and the
- * migration safety net — a verbatim copy of the retired line-regex
- * engine run side by side with the token engine over the real tree,
- * asserting identical findings, plus a construction where the two
- * must diverge (raw string with embedded quotes) proving the copy
- * is faithful and the token engine is the better of the pair.
+ * Two layers: lexer unit tests (raw strings, comments, literals,
+ * line numbers) and scope-tracking checks through scanSource.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +22,6 @@ namespace
 
 using klebsim::analysis::lexTokens;
 using klebsim::analysis::Linter;
-using klebsim::analysis::LintRule;
 using klebsim::analysis::TokKind;
 using klebsim::analysis::Token;
 
@@ -210,174 +200,6 @@ TEST(TokenLint, OneFindingPerRulePerLine)
                         "void f() { a.lock(); b.lock(); }\n");
     decltype(got) want{{"mutex-raii", 1}};
     EXPECT_EQ(got, want);
-}
-
-// ---------------------------------------------------------------
-// Legacy-engine parity.
-//
-// A verbatim copy of the retired per-line scanner: strip comments
-// and string bodies line-wise, then regex-search each line.  The
-// token engine must reproduce its findings exactly on the real
-// tree; the divergence test below shows the one input class where
-// the copy misfires and the token engine does not.
-
-std::vector<std::string>
-legacyStrip(const std::vector<std::string> &lines)
-{
-    std::vector<std::string> out;
-    out.reserve(lines.size());
-    bool in_block = false;
-    for (const std::string &line : lines) {
-        std::string kept;
-        for (std::size_t i = 0; i < line.size();) {
-            if (in_block) {
-                if (line.compare(i, 2, "*/") == 0) {
-                    in_block = false;
-                    i += 2;
-                } else {
-                    ++i;
-                }
-                continue;
-            }
-            if (line.compare(i, 2, "/*") == 0) {
-                in_block = true;
-                i += 2;
-                continue;
-            }
-            if (line.compare(i, 2, "//") == 0)
-                break;
-            char c = line[i];
-            if (c == '"' || c == '\'') {
-                kept += c;
-                ++i;
-                while (i < line.size() && line[i] != c) {
-                    if (line[i] == '\\')
-                        ++i;
-                    ++i;
-                }
-                if (i < line.size()) {
-                    kept += c;
-                    ++i;
-                }
-                continue;
-            }
-            kept += c;
-            ++i;
-        }
-        out.push_back(std::move(kept));
-    }
-    return out;
-}
-
-bool
-legacyApplies(const LintRule &rule, const std::string &rel)
-{
-    for (const std::string &dir : rule.dirs)
-        if (rel.starts_with(dir + "/"))
-            return true;
-    return false;
-}
-
-std::multiset<std::pair<std::string, std::size_t>>
-legacyFindings(const Linter &linter, const std::string &rel,
-               const std::string &src)
-{
-    std::vector<std::string> lines;
-    std::istringstream in(src);
-    std::string line;
-    while (std::getline(in, line))
-        lines.push_back(line);
-    const std::vector<std::string> code = legacyStrip(lines);
-
-    std::multiset<std::pair<std::string, std::size_t>> out;
-    for (const LintRule &rule : linter.rules()) {
-        if (rule.pattern.empty() || !legacyApplies(rule, rel) ||
-            linter.allowed(rule.id, rel))
-            continue;
-        std::regex re(rule.pattern, std::regex::ECMAScript);
-        for (std::size_t i = 0; i < code.size(); ++i)
-            if (std::regex_search(code[i], re))
-                out.insert({rule.id, i + 1});
-    }
-    return out;
-}
-
-std::multiset<std::pair<std::string, std::size_t>>
-tokenFindings(const Linter &linter, const std::string &rel,
-              const std::string &src)
-{
-    // Restrict to the rules the legacy engine also ran (pattern
-    // rules; include-guard and the token-only structural rules have
-    // no legacy counterpart).
-    std::set<std::string> comparable;
-    for (const LintRule &rule : linter.rules())
-        if (!rule.pattern.empty())
-            comparable.insert(rule.id);
-    std::multiset<std::pair<std::string, std::size_t>> out;
-    for (const auto &v : linter.scanSource(rel, src))
-        if (comparable.count(v.rule))
-            out.insert({v.rule, v.line});
-    return out;
-}
-
-TEST(TokenLint, MatchesLegacyRegexEngineOnRealTree)
-{
-    namespace fs = std::filesystem;
-    if (!fs::exists(fs::path("src") / "analysis" / "lint.cc"))
-        GTEST_SKIP() << "run from the repo root to check the tree";
-
-    Linter linter;
-    std::string err;
-    if (fs::exists(fs::path("tools") / "lint_allowlist.txt")) {
-        ASSERT_TRUE(linter.loadAllowlist(
-            "tools/lint_allowlist.txt", &err))
-            << err;
-    }
-
-    std::size_t files = 0;
-    for (const char *top : {"src", "bench", "examples"}) {
-        if (!fs::exists(top))
-            continue;
-        for (const auto &entry :
-             fs::recursive_directory_iterator(top)) {
-            if (!entry.is_regular_file())
-                continue;
-            const std::string ext =
-                entry.path().extension().string();
-            if (ext != ".cc" && ext != ".hh" && ext != ".cpp" &&
-                ext != ".h")
-                continue;
-            const std::string rel =
-                entry.path().generic_string();
-            std::ifstream in(entry.path(),
-                             std::ios::in | std::ios::binary);
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            const std::string src = buf.str();
-            EXPECT_EQ(tokenFindings(linter, rel, src),
-                      legacyFindings(linter, rel, src))
-                << "engines disagree on " << rel;
-            ++files;
-        }
-    }
-    EXPECT_GT(files, 50u) << "tree walk found suspiciously little";
-}
-
-TEST(TokenLint, DivergesFromLegacyOnRawStringWithEmbeddedQuotes)
-{
-    // Three embedded quotes leave the legacy scanner convinced it
-    // is back in code when rand() appears — the false-positive
-    // class that motivated the token engine.  This doubles as proof
-    // the legacy copy above is the real (flawed) article, so the
-    // parity test is not comparing the token engine to itself.
-    Linter linter;
-    const std::string src =
-        "const char *t = R\"x(a\"b\"c\" rand() tail)x\";\n";
-    auto legacy = legacyFindings(linter, "src/x/f.cc", src);
-    auto token = tokenFindings(linter, "src/x/f.cc", src);
-    decltype(legacy) misfire{{"raw-random", 1}};
-    EXPECT_EQ(legacy, misfire);
-    EXPECT_TRUE(token.empty());
 }
 
 } // anonymous namespace

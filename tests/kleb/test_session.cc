@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kernel/system.hh"
 #include "kleb/session.hh"
+#include "workload/matmul.hh"
 #include "workload/microbench.hh"
 
 using namespace klebsim;
@@ -98,6 +101,66 @@ TEST(Session, MonitoringFromFirstInstruction)
     // Every instruction was captured: nothing ran before START.
     hw::EventVector totals = session.finalTotals();
     EXPECT_EQ(at(totals, hw::HwEvent::instRetired), 5000000u);
+}
+
+TEST(Session, FinalTotalsMatchUnmonitoredRunAcrossEventSets)
+{
+    // Eight events on a four-counter PMU take one run per set.  The
+    // simulator is deterministic, so each monitored run's final
+    // totals equal an unmonitored same-seed run's exact counts for
+    // every architectural event of its set.
+    constexpr std::uint64_t seed = 1;
+    constexpr Addr base = 0x100000000ULL;
+    auto matmul = [](System &sys) {
+        return workload::makeMatMulLoop({256}, base,
+                                        sys.forkRng(0x5e9 + seed));
+    };
+
+    System truth_sys(hw::MachineConfig::corei7_920(), seed,
+                     quietCosts());
+    auto truth_wl = matmul(truth_sys);
+    Process *p =
+        truth_sys.kernel().createWorkload("t", truth_wl.get(), 0);
+    truth_sys.kernel().startProcess(p);
+    truth_sys.run();
+    const hw::EventVector &truth = p->execContext()->totalEvents();
+    EXPECT_GT(at(truth, hw::HwEvent::instRetired), 0u);
+    EXPECT_GT(at(truth, hw::HwEvent::arithMul), 0u);
+
+    const std::vector<std::vector<hw::HwEvent>> sets = {
+        {hw::HwEvent::instRetired, hw::HwEvent::branchRetired,
+         hw::HwEvent::loadRetired, hw::HwEvent::storeRetired},
+        {hw::HwEvent::arithMul, hw::HwEvent::fpOpsRetired,
+         hw::HwEvent::llcReference, hw::HwEvent::llcMiss},
+    };
+    std::size_t checked = 0;
+    for (const std::vector<hw::HwEvent> &events : sets) {
+        System sys(hw::MachineConfig::corei7_920(), seed,
+                   quietCosts());
+        auto wl = matmul(sys);
+        Process *target =
+            sys.kernel().createWorkload("target", wl.get(), 0);
+        kleb::Session::Options opts;
+        opts.events = events;
+        opts.period = 1_ms;
+        kleb::Session session(sys, opts);
+        session.monitor(target);
+        sys.run();
+        ASSERT_EQ(target->state(), ProcState::zombie);
+
+        hw::EventVector totals = session.finalTotals();
+        for (hw::HwEvent ev : events) {
+            // The cache events depend on the monitor's own
+            // footprint; only retired-work events must match.
+            if (ev == hw::HwEvent::llcReference ||
+                ev == hw::HwEvent::llcMiss)
+                continue;
+            EXPECT_EQ(at(totals, ev), at(truth, ev))
+                << hw::eventName(ev);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 6u);
 }
 
 TEST(Session, ControllerOnSameCoreInterferes)

@@ -8,8 +8,9 @@
  * baseline, counter accuracy against ground truth, sample volume,
  * and where the governor's period settled.
  *
- * The CSV header is a stable machine-readable contract consumed by
- * `bench_report --check-budget`.
+ * The bench checks its own claims (budgetClaims in claims.hh): each
+ * broken one goes to stderr as `CLAIM FAILED: ...` and the exit code
+ * is 1.
  */
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "claims.hh"
 #include "tools/harness.hh"
 #include "workload/matmul.hh"
 
@@ -166,25 +168,29 @@ main(int argc, char **argv)
     Table table({"workload", "mode", "config", "budget_pct",
                  "overhead_pct", "accuracy_err_pct", "samples",
                  "period_changes", "final_period_us", "mean_s"});
+    std::vector<ParetoRow> pareto;
     for (std::size_t r = 0; r < grid.size(); ++r) {
         const Row &row = grid[r];
         double mean = mean_secs(r);
-        double overhead =
-            (mean - base_mean[r]) / base_mean[r] * 100.0;
         const RunResult &probe =
             results[r * per_row + static_cast<std::size_t>(runs)];
-        bool is_base = std::string(row.mode) == "baseline";
+        ParetoRow p{row.workload, row.mode, row.config,
+                    row.budget * 100.0,
+                    (mean - base_mean[r]) / base_mean[r] * 100.0,
+                    accuracyErrPct(probe)};
+        bool is_base = p.mode == "baseline";
         double final_us =
             static_cast<double>(probe.klebStatus.currentPeriod) /
             1e6;
         table.addRow(
             {row.workload, row.mode, row.config,
-             is_base ? "-" : toFixed(row.budget * 100.0, 2),
-             is_base ? "-" : toFixed(overhead, 3),
-             is_base ? "-" : toFixed(accuracyErrPct(probe), 4),
+             is_base ? "-" : toFixed(p.budgetPct, 2),
+             is_base ? "-" : toFixed(p.overheadPct, 3),
+             is_base ? "-" : toFixed(p.accuracyErrPct, 4),
              std::to_string(probe.samples),
              std::to_string(probe.klebStatus.periodChanges),
              toFixed(final_us, 1), toFixed(mean, 4)});
+        pareto.push_back(std::move(p));
     }
 
     table.print();
@@ -195,5 +201,5 @@ main(int argc, char **argv)
         std::printf("\n");
         table.printCsv();
     }
-    return 0;
+    return reportClaims(budgetClaims(pareto));
 }

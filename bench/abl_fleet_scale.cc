@@ -13,8 +13,9 @@
  * micro_substrate, so this bench prints no host time.
  *
  * --runs N sets the machine count (default 10000; --quick 256).
- * The machine-readable block under `fleet smoke CSV` is gated in CI
- * by `bench_report --check-fleet`.
+ * The bench checks its own claims (fleetClaims in claims.hh): each
+ * broken one goes to stderr as `CLAIM FAILED: ...` and the exit code
+ * is 1.
  */
 
 #include <cstdio>
@@ -23,6 +24,7 @@
 
 #include "analysis/invariants.hh"
 #include "bench_util.hh"
+#include "claims.hh"
 #include "fleet/fleet.hh"
 
 using namespace klebsim;
@@ -33,19 +35,7 @@ using fleet::FleetResult;
 namespace
 {
 
-/** One row of the gated smoke CSV. */
-struct SmokeRow
-{
-    std::string scenario;
-    unsigned jobs = 0;
-
-    /** Scenario whose digests this row must match ("-" = none). */
-    std::string matches = "-";
-
-    FleetResult result;
-};
-
-/** The pinned contract bench_report --check-fleet parses. */
+/** Header of the machine-readable smoke CSV block. */
 constexpr const char *smokeHeader =
     "scenario,jobs,machines,produced,kept,dropped,vanished,"
     "quarantined,accepted,holes,restarts,balanced,matches,"
@@ -61,9 +51,9 @@ balanced(const FleetResult &r)
     return checker.ok();
 }
 
-FleetResult
-runScenario(std::uint32_t machines, unsigned jobs,
-            const std::string &spec)
+FleetRow
+runScenario(const char *scenario, unsigned jobs, const char *matches,
+            std::uint32_t machines, const std::string &spec)
 {
     FleetConfig cfg;
     cfg.machines = machines;
@@ -72,7 +62,26 @@ runScenario(std::uint32_t machines, unsigned jobs,
     cfg.seed = 42;
     cfg.jobs = jobs;
     cfg.faultSpec = spec;
-    return fleet::runFleet(cfg);
+    const FleetResult r = fleet::runFleet(cfg);
+
+    FleetRow row;
+    row.scenario = scenario;
+    row.jobs = jobs;
+    row.matches = matches;
+    for (const auto &a : r.accounts) {
+        row.produced += a.produced;
+        row.kept += a.kept;
+        row.dropped += a.dropped;
+        row.vanished += a.vanished;
+        row.quarantined += a.quarantined;
+    }
+    row.accepted = r.collector.accepted;
+    row.holes = r.holes.size();
+    row.restarts = r.collector.restarts;
+    row.balanced = balanced(r);
+    row.csvDigest = r.csvDigest;
+    row.treeDigest = r.treeDigest;
+    return row;
 }
 
 } // namespace
@@ -93,15 +102,11 @@ main(int argc, char **argv)
         "machine.crash=0.2;link.drop=0.05;link.delay=0.1;"
         "link.delay.by=500us";
 
-    std::vector<SmokeRow> rows;
+    std::vector<FleetRow> rows;
     auto add = [&](const char *scenario, unsigned jobs,
                    const char *matches, const std::string &spec) {
-        SmokeRow row;
-        row.scenario = scenario;
-        row.jobs = jobs;
-        row.matches = matches;
-        row.result = runScenario(machines, jobs, spec);
-        rows.push_back(std::move(row));
+        rows.push_back(
+            runScenario(scenario, jobs, matches, machines, spec));
     };
 
     add("baseline", 1, "-", "");
@@ -119,43 +124,31 @@ main(int argc, char **argv)
                  "Vanished", "Quarantined", "Holes", "Restarts",
                  "Balanced", "CSV digest", "Tree digest"});
     std::vector<std::string> csv_lines;
-    for (const SmokeRow &row : rows) {
-        const FleetResult &r = row.result;
-        std::uint64_t produced = 0, kept = 0, dropped = 0;
-        std::uint64_t vanished = 0, quarantined = 0;
-        for (const auto &a : r.accounts) {
-            produced += a.produced;
-            kept += a.kept;
-            dropped += a.dropped;
-            vanished += a.vanished;
-            quarantined += a.quarantined;
-        }
-        const bool ok = balanced(r);
+    for (const FleetRow &row : rows) {
         table.addRow({row.scenario, std::to_string(row.jobs),
-                      std::to_string(produced),
-                      std::to_string(kept),
-                      std::to_string(dropped),
-                      std::to_string(vanished),
-                      std::to_string(quarantined),
-                      std::to_string(r.holes.size()),
-                      std::to_string(r.collector.restarts),
-                      ok ? "yes" : "NO",
-                      csprintf("%08x", r.csvDigest),
-                      csprintf("%08x", r.treeDigest)});
+                      std::to_string(row.produced),
+                      std::to_string(row.kept),
+                      std::to_string(row.dropped),
+                      std::to_string(row.vanished),
+                      std::to_string(row.quarantined),
+                      std::to_string(row.holes),
+                      std::to_string(row.restarts),
+                      row.balanced ? "yes" : "NO",
+                      csprintf("%08x", row.csvDigest),
+                      csprintf("%08x", row.treeDigest)});
         csv_lines.push_back(csprintf(
             "%s,%u,%u,%llu,%llu,%llu,%llu,%llu,%llu,%zu,%llu,%s,"
             "%s,%08x,%08x",
             row.scenario.c_str(), row.jobs, machines,
-            static_cast<unsigned long long>(produced),
-            static_cast<unsigned long long>(kept),
-            static_cast<unsigned long long>(dropped),
-            static_cast<unsigned long long>(vanished),
-            static_cast<unsigned long long>(quarantined),
-            static_cast<unsigned long long>(r.collector.accepted),
-            r.holes.size(),
-            static_cast<unsigned long long>(r.collector.restarts),
-            ok ? "yes" : "NO", row.matches.c_str(), r.csvDigest,
-            r.treeDigest));
+            static_cast<unsigned long long>(row.produced),
+            static_cast<unsigned long long>(row.kept),
+            static_cast<unsigned long long>(row.dropped),
+            static_cast<unsigned long long>(row.vanished),
+            static_cast<unsigned long long>(row.quarantined),
+            static_cast<unsigned long long>(row.accepted), row.holes,
+            static_cast<unsigned long long>(row.restarts),
+            row.balanced ? "yes" : "NO", row.matches.c_str(),
+            row.csvDigest, row.treeDigest));
     }
     table.print();
 
@@ -169,5 +162,5 @@ main(int argc, char **argv)
         "exactly once and still match their crash-free scenario "
         "byte for byte; holes appear only under chaos, and only "
         "for quarantined machines.\n");
-    return 0;
+    return reportClaims(fleetClaims(rows));
 }

@@ -133,9 +133,7 @@ BENCHMARK(BM_EventQueueMixedPriority);
 void
 BM_CacheAccessHit(benchmark::State &state)
 {
-    hw::Cache cache("bench", {32 * 1024, 8, 64,
-                              hw::ReplPolicy::lru},
-                    Random(1));
+    hw::Cache cache("bench", {32 * 1024, 8, 64});
     cache.access(0x1000, false);
     for (auto _ : state)
         benchmark::DoNotOptimize(cache.access(0x1000, false));
@@ -145,9 +143,7 @@ BENCHMARK(BM_CacheAccessHit);
 void
 BM_CacheAccessStream(benchmark::State &state)
 {
-    hw::Cache cache("bench", {8 * 1024 * 1024, 16, 64,
-                              hw::ReplPolicy::lru},
-                    Random(1));
+    hw::Cache cache("bench", {8 * 1024 * 1024, 16, 64});
     Addr addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.access(addr, false));
@@ -163,9 +159,7 @@ BM_CacheEvictLru(benchmark::State &state)
     // isolates the eviction path: the victim is the set's last way,
     // and the miss costs one shift of the set to put the new line at
     // way 0.
-    hw::Cache cache("bench", {32 * 1024, 8, 64,
-                              hw::ReplPolicy::lru},
-                    Random(1));
+    hw::Cache cache("bench", {32 * 1024, 8, 64});
     const std::uint64_t sets = cache.geometry().sets();
     // 9 tags mapping to set 0 of an 8-way set: round-robin over them
     // never hits.
@@ -184,8 +178,7 @@ BM_CacheAccessNonPow2Sets(benchmark::State &state)
 {
     // BM_CacheAccessStream on the Xeon 8259CL LLC: 53,248 sets, the
     // one modelled level whose set index is a modulo, not a mask.
-    hw::Cache cache("bench", hw::MachineConfig::xeon8259cl().llc,
-                    Random(1));
+    hw::Cache cache("bench", hw::MachineConfig::xeon8259cl().llc);
     Addr addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.access(addr, false));
@@ -249,8 +242,8 @@ BM_ChunkBatched(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         sim::EventQueue eq;
-        hw::Cache llc("LLC", cfg.llc, Random(2));
-        hw::CpuCore core(0, cfg, eq, &llc, Random(3));
+        hw::Cache llc("LLC", cfg.llc);
+        hw::CpuCore core(0, cfg, eq, &llc);
         auto stream =
             workload::makeAddressStream(pat, 0x10000000, Random(5));
         hw::WorkChunk chunk;

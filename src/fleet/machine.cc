@@ -56,7 +56,7 @@ mixPhases(std::uint32_t kind)
         phases.push_back(p);
         break;
       }
-      default: { // mixed: compute phase then a strided sweep
+      default: { // mixed: compute phase then a sequential sweep
         workload::Phase a;
         a.name = "mix-compute";
         a.instructions = 4000000;

@@ -9,8 +9,8 @@
 namespace klebsim::hw
 {
 
-Cache::Cache(std::string name, const CacheGeometry &geom, Random rng)
-    : geom_(geom), rng_(rng), name_(std::move(name))
+Cache::Cache(std::string name, const CacheGeometry &geom)
+    : geom_(geom), name_(std::move(name))
 {
     fatal_if(geom.lineSize < 2 || !isPowerOf2(geom.lineSize),
              "cache ", name_,
@@ -26,66 +26,6 @@ Cache::Cache(std::string name, const CacheGeometry &geom, Random rng)
     pow2Sets_ = isPowerOf2(numSets_);
     ways_ = geom.ways;
     tags_.assign(numSets_ * ways_, emptyTag);
-    if (geom.policy == ReplPolicy::treePlru) {
-        fatal_if(!isPowerOf2(geom.ways),
-                 "cache ", name_, ": tree-PLRU needs pow2 ways");
-        plru_.assign(numSets_ * geom.ways, 0);
-    }
-}
-
-void
-Cache::touchPlru(std::uint64_t set, std::uint32_t way)
-{
-    // Walk the tree from root to the touched way, pointing each node
-    // away from it.
-    std::uint8_t *bits = &plru_[set * ways_];
-    std::uint32_t node = 1;
-    std::uint32_t lo = 0;
-    std::uint32_t hi = ways_;
-    while (hi - lo > 1) {
-        std::uint32_t mid = (lo + hi) / 2;
-        if (way < mid) {
-            bits[node] = 1; // next victim search goes right
-            hi = mid;
-            node = 2 * node;
-        } else {
-            bits[node] = 0; // next victim search goes left
-            lo = mid;
-            node = 2 * node + 1;
-        }
-    }
-}
-
-void
-Cache::fillSlot(Addr *tags, std::uint64_t set, Addr line)
-{
-    auto way = static_cast<std::uint32_t>(
-        std::find(tags, tags + ways_, emptyTag) - tags);
-    if (way == ways_) {
-        ++stats_.evictions;
-        if (geom_.policy == ReplPolicy::random) {
-            way = rng_.below(ways_);
-        } else {
-            const std::uint8_t *bits = &plru_[set * ways_];
-            std::uint32_t node = 1;
-            std::uint32_t lo = 0;
-            std::uint32_t hi = ways_;
-            while (hi - lo > 1) {
-                std::uint32_t mid = (lo + hi) / 2;
-                if (bits[node]) {
-                    lo = mid;
-                    node = 2 * node + 1;
-                } else {
-                    hi = mid;
-                    node = 2 * node;
-                }
-            }
-            way = lo;
-        }
-    }
-    tags[way] = line;
-    if (geom_.policy == ReplPolicy::treePlru)
-        touchPlru(set, way);
 }
 
 bool
@@ -98,12 +38,9 @@ Cache::flushLine(Addr addr)
     Addr *way = std::find(tags, end, line);
     if (way == end)
         return false;
-    if (geom_.policy == ReplPolicy::lru) {
-        // Close the gap so the empty ways stay at the tail.
-        std::copy(way + 1, end, way);
-        way = end - 1;
-    }
-    *way = emptyTag;
+    // Close the gap so the empty ways stay at the tail.
+    std::copy(way + 1, end, way);
+    end[-1] = emptyTag;
     return true;
 }
 

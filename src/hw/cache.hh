@@ -1,6 +1,6 @@
 /**
  * @file
- * Set-associative cache model with pluggable replacement policy.
+ * Set-associative cache model with exact-LRU replacement.
  *
  * This is a functional tag-array model: it tracks which lines are
  * resident and reports hit/miss per access.  The Meltdown case study
@@ -13,16 +13,14 @@
  * otherwise.  The cache is one array of numSets * ways tags; an
  * empty way holds a tag no line address can equal.
  *
- * Exact-LRU sets are kept in recency order: way 0 holds the most
- * recently used line, the valid lines form a prefix and the empty
- * ways the tail.  A hit moves its line to way 0; a miss evicts the
- * last way (if valid) and puts the new line at way 0.  Every
- * observable result depends only on each set's recency order and
- * its count of empty ways, never on which way holds a line, so no
- * per-way state beyond the tag is needed.  Random and tree-PLRU
- * name ways in their state (an RNG draw, the tree bits), so their
- * lines keep fixed ways and a miss fills the lowest empty way
- * first.
+ * Each set is kept in recency order: way 0 holds the most recently
+ * used line, the valid lines form a prefix and the empty ways the
+ * tail.  A hit moves its line to way 0; a miss evicts the last way
+ * (if valid) and puts the new line at way 0.  Every observable
+ * result depends only on each set's recency order and its count of
+ * empty ways, never on which way holds a line, so no per-way state
+ * beyond the tag is needed.  Both machine presets (i7-920, Xeon
+ * 8259CL) are modeled with LRU at every level.
  */
 
 #ifndef KLEBSIM_HW_CACHE_HH
@@ -33,20 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "base/random.hh"
 #include "base/thread_safety.hh"
 #include "base/types.hh"
 
 namespace klebsim::hw
 {
-
-/** Replacement policy selector. */
-enum class ReplPolicy
-{
-    lru,
-    random,
-    treePlru,
-};
 
 /** Geometry of one cache level. */
 struct CacheGeometry
@@ -54,7 +43,6 @@ struct CacheGeometry
     std::uint64_t sizeBytes = 0;
     std::uint32_t ways = 1;
     std::uint32_t lineSize = 64;
-    ReplPolicy policy = ReplPolicy::lru;
 
     /** Number of sets implied by the geometry. */
     std::uint64_t
@@ -95,9 +83,8 @@ class Cache
      * @param name for diagnostics ("L1D", "LLC", ...)
      * @param geom geometry; size must be divisible by ways*lineSize
      *        and the line size a power of two of at least 2 bytes
-     * @param rng source for the random replacement policy
      */
-    Cache(std::string name, const CacheGeometry &geom, Random rng);
+    Cache(std::string name, const CacheGeometry &geom);
 
     const std::string &name() const { return name_; }
     const CacheGeometry &geometry() const { return geom_; }
@@ -113,27 +100,19 @@ class Cache
     {
         (void)write; // no dirty-state modeling; writes allocate like reads
         const Addr line = addr >> lineShift_;
-        const std::uint64_t set = setOf(line);
-        Addr *tags = &tags_[set * ways_];
+        Addr *tags = &tags_[setOf(line) * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w) {
             if (tags[w] == line) {
                 ++stats_.hits;
-                if (geom_.policy == ReplPolicy::lru)
-                    moveToFront(tags, w, line);
-                else if (geom_.policy == ReplPolicy::treePlru)
-                    touchPlru(set, w);
+                moveToFront(tags, w, line);
                 return true;
             }
         }
 
         ++stats_.misses;
-        if (geom_.policy == ReplPolicy::lru) {
-            // The last way is the LRU line, or empty if the set has room.
-            stats_.evictions += tags[ways_ - 1] != emptyTag;
-            moveToFront(tags, ways_ - 1, line);
-        } else {
-            fillSlot(tags, set, line);
-        }
+        // The last way is the LRU line, or empty if the set has room.
+        stats_.evictions += tags[ways_ - 1] != emptyTag;
+        moveToFront(tags, ways_ - 1, line);
         return false;
     }
 
@@ -178,8 +157,8 @@ class Cache
     }
 
     /**
-     * Drop way @p way of an LRU set, shift the ways before it down
-     * by one and put @p line at way 0.
+     * Drop way @p way of a set, shift the ways before it down by one
+     * and put @p line at way 0.
      */
     static void
     moveToFront(Addr *tags, std::uint32_t way, Addr line)
@@ -187,15 +166,6 @@ class Cache
         std::copy_backward(tags, tags + way, tags + way + 1);
         tags[0] = line;
     }
-
-    /** Point the set's PLRU tree away from @p way. */
-    void touchPlru(std::uint64_t set, std::uint32_t way);
-
-    /**
-     * Put @p line into a random or tree-PLRU set that missed: the
-     * lowest empty way, else the policy's victim.
-     */
-    void fillSlot(Addr *tags, std::uint64_t set, Addr line);
 
     unsigned lineShift_ = 0;
     bool pow2Sets_ = false;
@@ -205,8 +175,6 @@ class Cache
     CacheStats stats_;
 
     CacheGeometry geom_;
-    std::vector<std::uint8_t> plru_; //!< tree bits per set
-    Random rng_;
     std::string name_;
 };
 

@@ -18,10 +18,9 @@ constexpr Addr kernelScratchStride = 0x10000000ULL; // 256 MB/core
 } // anonymous namespace
 
 CpuCore::CpuCore(CoreId id, const MachineConfig &cfg,
-                 sim::EventQueue &eq, Cache *shared_llc, Random rng)
+                 sim::EventQueue &eq, Cache *shared_llc)
     : id_(id), cfg_(cfg), eq_(eq), clock_(cfg.coreFreqHz),
-      refClock_(cfg.refFreqHz), rng_(rng),
-      mem_(cfg, shared_llc, rng_.fork(0x1000 + id)), ctx_(nullptr),
+      refClock_(cfg.refFreqHz), mem_(cfg, shared_llc), ctx_(nullptr),
       attributedUpTo_(0), busyTime_(0), kernelScratchCursor_(0),
       memSampleCap_(cfg.memSampleCap), laneAddr_(memSampleCap_),
       laneWrite_(memSampleCap_)

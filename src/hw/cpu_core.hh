@@ -27,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/random.hh"
 #include "base/types.hh"
 #include "exec_context.hh"
 #include "exec_types.hh"
@@ -75,7 +74,7 @@ class CpuCore
 {
   public:
     CpuCore(CoreId id, const MachineConfig &cfg, sim::EventQueue &eq,
-            Cache *shared_llc, Random rng);
+            Cache *shared_llc);
 
     CoreId id() const { return id_; }
     Pmu &pmu() { return pmu_; }
@@ -143,7 +142,6 @@ class CpuCore
     sim::EventQueue &eq_;
     sim::ClockDomain clock_;
     sim::ClockDomain refClock_;
-    Random rng_;
     Pmu pmu_;
     MsrFile msrs_;
     MemHierarchy mem_;

@@ -5,10 +5,9 @@
 namespace klebsim::hw
 {
 
-MemHierarchy::MemHierarchy(const MachineConfig &cfg, Cache *shared_llc,
-                           Random rng)
-    : cfg_(cfg), l1_("L1D", cfg.l1d, rng.fork(0x11)),
-      l2_("L2", cfg.l2, rng.fork(0x22)), llc_(shared_llc)
+MemHierarchy::MemHierarchy(const MachineConfig &cfg, Cache *shared_llc)
+    : cfg_(cfg), l1_("L1D", cfg.l1d), l2_("L2", cfg.l2),
+      llc_(shared_llc)
 {
     panic_if(llc_ == nullptr, "MemHierarchy needs a shared LLC");
 }

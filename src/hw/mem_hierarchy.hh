@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "base/random.hh"
 #include "base/types.hh"
 #include "cache.hh"
 #include "machine_config.hh"
@@ -53,10 +52,8 @@ class MemHierarchy
     /**
      * @param cfg machine geometry and latencies
      * @param shared_llc the machine-wide L3 (not owned)
-     * @param rng forked stream for replacement randomness
      */
-    MemHierarchy(const MachineConfig &cfg, Cache *shared_llc,
-                 Random rng);
+    MemHierarchy(const MachineConfig &cfg, Cache *shared_llc);
 
     /** Issue one load/store at @p addr. */
     AccessOutcome

@@ -67,8 +67,8 @@ Session::Session(kernel::System &sys, Options options)
 
 Session::~Session()
 {
-    // Exactly-once module teardown: whoever unloads first (the
-    // sequential runner, a test, or this destructor) trips the
+    // Exactly-once module teardown: whoever unloads first (a test,
+    // a crash of the whole machine, or this destructor) trips the
     // module hook, which nulls module_ — so the rmmod below can
     // never run twice, and a module left loaded by a dead
     // controller (supervisor out of budget, degrade path) is still

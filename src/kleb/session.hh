@@ -124,9 +124,8 @@ class Session
      * Unloads the module if this session still owns a loaded one —
      * exactly once, whatever path led here (clean finish, degrade,
      * supervisor giving up with the controller dead): the unload
-     * hook nulls module_ so a module already removed (by the
-     * sequential runner, a test, or a crash of the whole machine)
-     * is never double-rmmod'ed.
+     * hook nulls module_ so a module already removed (by a test or
+     * a crash of the whole machine) is never double-rmmod'ed.
      */
     ~Session();
 

@@ -1,7 +1,6 @@
 #include "harness.hh"
 
 #include "base/logging.hh"
-#include "bench_support/trial_pool.hh"
 #include "fault/fault_injector.hh"
 #include "hw/perf_event.hh"
 #include "instrumented.hh"
@@ -136,18 +135,9 @@ runOnce(const RunConfig &cfg)
         if (cfg.heartbeatTimeout > 0)
             opts.supervisorTuning.heartbeatTimeout =
                 cfg.heartbeatTimeout;
-        if (cfg.restartBudget >= 0)
-            opts.supervisorTuning.restartBudget = cfg.restartBudget;
-        if (cfg.restartBackoff > 0)
-            opts.supervisorTuning.restartBackoff =
-                cfg.restartBackoff;
         opts.adaptive = cfg.adaptive;
         if (cfg.overheadBudget > 0)
             opts.governor.budget = cfg.overheadBudget;
-        if (cfg.minPeriod > 0)
-            opts.governor.minPeriod = cfg.minPeriod;
-        if (cfg.maxPeriod > 0)
-            opts.governor.maxPeriod = cfg.maxPeriod;
         if (injector) {
             opts.controllerTuning.setPeriodFaultHook =
                 injector->setPeriodFailHook();
@@ -270,31 +260,6 @@ runOnce(const RunConfig &cfg)
     }
 
     return result;
-}
-
-std::vector<double>
-runMany(RunConfig cfg, int runs, unsigned jobs)
-{
-    if (runs <= 0)
-        return {};
-    const std::uint64_t base_seed = cfg.seed;
-    bench::TrialPool pool(jobs);
-    std::vector<RunResult> results = pool.map(
-        static_cast<std::size_t>(runs), [&](std::size_t i) {
-            RunConfig trial_cfg = cfg;
-            trial_cfg.seed = bench::trialSeed(
-                base_seed,
-                static_cast<std::uint64_t>(cfg.tool), i);
-            return runOnce(trial_cfg);
-        });
-    std::vector<double> secs;
-    secs.reserve(results.size());
-    for (const RunResult &r : results) {
-        if (!r.supported)
-            return {};
-        secs.push_back(r.seconds);
-    }
-    return secs;
 }
 
 double

@@ -116,12 +116,6 @@ struct RunConfig
     /** Heartbeat staleness treated as a hang; 0 keeps the default. */
     Tick heartbeatTimeout = 0;
 
-    /** Restart budget; negative keeps the default. */
-    int restartBudget = -1;
-
-    /** First restart backoff; 0 keeps the default. */
-    Tick restartBackoff = 0;
-
     /** @} */
 
     /**
@@ -135,12 +129,6 @@ struct RunConfig
 
     /** Overhead budget as a fraction (0.01 = 1%); 0 = default. */
     double overheadBudget = 0.0;
-
-    /** Fastest allowed adaptive period; 0 keeps the 100 us floor. */
-    Tick minPeriod = 0;
-
-    /** Slowest allowed adaptive period; 0 keeps the default. */
-    Tick maxPeriod = 0;
 
     /** @} */
 
@@ -214,18 +202,6 @@ struct RunResult
 
 /** Execute one run. */
 RunResult runOnce(const RunConfig &cfg);
-
-/**
- * Run @p runs repetitions and return the per-run lifetimes in
- * seconds.  Per-trial seeds are derived by the shared splitmix64
- * mixer from (cfg.seed, cfg.tool, trialIndex) — see
- * bench_support/trial_pool.hh — so adjacent trials never run
- * correlated PCG32 streams.  Trials fan out across @p jobs worker
- * threads (each on a fresh simulated machine); results are
- * identical for every jobs value.
- */
-std::vector<double> runMany(RunConfig cfg, int runs,
-                            unsigned jobs = 1);
 
 /**
  * Mean overhead of @p tool versus baseline runs, in percent:

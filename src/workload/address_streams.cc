@@ -1,8 +1,5 @@
 #include "address_streams.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "base/logging.hh"
 
 namespace klebsim::workload
@@ -20,18 +17,6 @@ MemPatternSpec::sequential(std::uint64_t footprint, double write_frac)
     MemPatternSpec s;
     s.kind = Kind::sequential;
     s.footprintBytes = footprint;
-    s.writeFraction = write_frac;
-    return s;
-}
-
-MemPatternSpec
-MemPatternSpec::strided(std::uint64_t footprint, std::uint64_t stride,
-                        double write_frac)
-{
-    MemPatternSpec s;
-    s.kind = Kind::strided;
-    s.footprintBytes = footprint;
-    s.strideBytes = stride;
     s.writeFraction = write_frac;
     return s;
 }
@@ -60,17 +45,6 @@ MemPatternSpec::hotCold(std::uint64_t hot, std::uint64_t footprint,
     return s;
 }
 
-MemPatternSpec
-MemPatternSpec::pointerChase(std::uint64_t footprint,
-                             double write_frac)
-{
-    MemPatternSpec s;
-    s.kind = Kind::pointerChase;
-    s.footprintBytes = footprint;
-    s.writeFraction = write_frac;
-    return s;
-}
-
 namespace
 {
 
@@ -78,13 +52,11 @@ class SequentialStream : public hw::AddressStream
 {
   public:
     SequentialStream(Addr base, std::uint64_t footprint,
-                     std::uint64_t stride, double write_frac,
-                     Random rng)
-        : base_(base), footprint_(footprint), stride_(stride),
-          writeFrac_(write_frac), offset_(0), rng_(rng)
+                     double write_frac, Random rng)
+        : base_(base), footprint_(footprint), writeFrac_(write_frac),
+          offset_(0), rng_(rng)
     {
         panic_if(footprint_ == 0, "sequential stream: empty region");
-        panic_if(stride_ == 0, "sequential stream: zero stride");
     }
 
     void
@@ -105,7 +77,7 @@ class SequentialStream : public hw::AddressStream
         hw::MemRef ref;
         ref.addr = base_ + offset_;
         ref.write = rng_.chance(writeFrac_);
-        offset_ += stride_;
+        offset_ += 64;
         if (offset_ >= footprint_)
             offset_ = 0;
         return ref;
@@ -113,7 +85,6 @@ class SequentialStream : public hw::AddressStream
 
     Addr base_;
     std::uint64_t footprint_;
-    std::uint64_t stride_;
     double writeFrac_;
     std::uint64_t offset_;
     Random rng_;
@@ -192,57 +163,6 @@ class HotColdStream : public hw::AddressStream
     Random rng_;
 };
 
-class PointerChaseStream : public hw::AddressStream
-{
-  public:
-    PointerChaseStream(Addr base, std::uint64_t footprint,
-                       double write_frac, Random rng)
-        : base_(base), writeFrac_(write_frac), rng_(rng)
-    {
-        panic_if(footprint < 64, "pointer chase: region too small");
-        // Sattolo's algorithm builds a single cycle through every
-        // line: next_[i] is "the pointer stored in line i".
-        std::uint64_t lines =
-            std::min<std::uint64_t>(footprint / 64, 1 << 20);
-        next_.resize(lines);
-        for (std::uint64_t i = 0; i < lines; ++i)
-            next_[i] = i;
-        for (std::uint64_t i = lines - 1; i > 0; --i) {
-            std::uint64_t j =
-                rng_.below(static_cast<std::uint32_t>(i));
-            std::swap(next_[i], next_[j]);
-        }
-    }
-
-    void
-    fillBatch(Addr *addrs, std::uint8_t *writes,
-              std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            hw::MemRef ref = step();
-            addrs[i] = ref.addr;
-            writes[i] = ref.write ? 1 : 0;
-        }
-    }
-
-  private:
-    hw::MemRef
-    step()
-    {
-        hw::MemRef ref;
-        ref.addr = base_ + cursor_ * 64;
-        ref.write = rng_.chance(writeFrac_);
-        cursor_ = next_[cursor_];
-        return ref;
-    }
-
-    Addr base_;
-    double writeFrac_;
-    Random rng_;
-    std::vector<std::uint64_t> next_;
-    std::uint64_t cursor_ = 0;
-};
-
 } // anonymous namespace
 
 std::unique_ptr<hw::AddressStream>
@@ -253,11 +173,7 @@ makeAddressStream(const MemPatternSpec &spec, Addr base, Random rng)
         return nullptr;
       case MemPatternSpec::Kind::sequential:
         return std::make_unique<SequentialStream>(
-            base, spec.footprintBytes, 64, spec.writeFraction, rng);
-      case MemPatternSpec::Kind::strided:
-        return std::make_unique<SequentialStream>(
-            base, spec.footprintBytes, spec.strideBytes,
-            spec.writeFraction, rng);
+            base, spec.footprintBytes, spec.writeFraction, rng);
       case MemPatternSpec::Kind::randomUniform:
         return std::make_unique<RandomStream>(
             base, spec.footprintBytes, spec.writeFraction, rng);
@@ -265,9 +181,6 @@ makeAddressStream(const MemPatternSpec &spec, Addr base, Random rng)
         return std::make_unique<HotColdStream>(
             base, spec.hotBytes, spec.footprintBytes,
             spec.hotProbability, spec.writeFraction, rng);
-      case MemPatternSpec::Kind::pointerChase:
-        return std::make_unique<PointerChaseStream>(
-            base, spec.footprintBytes, spec.writeFraction, rng);
     }
     panic("unhandled MemPatternSpec kind");
 }

@@ -4,10 +4,10 @@
  *
  * Each workload phase owns an AddressStream describing its access
  * pattern; the CPU pulls sampled references from it while executing
- * chunks.  Patterns provided: sequential, strided, uniform-random
- * over a footprint, and hot/cold (a small hot set absorbing most
- * accesses in front of a large cold footprint — the knob that sets
- * a workload's MPKI).
+ * chunks.  Patterns provided: sequential (a line-by-line walk),
+ * uniform-random over a footprint, and hot/cold (a small hot set
+ * absorbing most accesses in front of a large cold footprint — the
+ * knob that sets a workload's MPKI).
  */
 
 #ifndef KLEBSIM_WORKLOAD_ADDRESS_STREAMS_HH
@@ -29,16 +29,13 @@ struct MemPatternSpec
     enum class Kind
     {
         none,          //!< phase performs no memory accesses
-        sequential,    //!< streaming walk over the footprint
-        strided,       //!< fixed stride walk (column access etc.)
+        sequential,    //!< 64-byte-line walk over the footprint
         randomUniform, //!< uniform random within the footprint
         hotCold,       //!< hot set + occasional cold excursions
-        pointerChase,  //!< dependent-load permutation walk
     };
 
     Kind kind = Kind::none;
     std::uint64_t footprintBytes = 0;
-    std::uint64_t strideBytes = 64;
 
     /** hotCold: size of the hot set. */
     std::uint64_t hotBytes = 32 * 1024;
@@ -53,25 +50,12 @@ struct MemPatternSpec
     static MemPatternSpec none_();
     static MemPatternSpec sequential(std::uint64_t footprint,
                                      double write_frac = 0.3);
-    static MemPatternSpec strided(std::uint64_t footprint,
-                                  std::uint64_t stride,
-                                  double write_frac = 0.3);
     static MemPatternSpec randomUniform(std::uint64_t footprint,
                                         double write_frac = 0.3);
     static MemPatternSpec hotCold(std::uint64_t hot,
                                   std::uint64_t footprint,
                                   double hot_prob,
                                   double write_frac = 0.3);
-
-    /**
-     * Pointer chase: a random-permutation cycle over the footprint's
-     * lines, visited in dependence order (linked-list traversal).
-     * Every access depends on the previous one, so there is no
-     * memory-level parallelism to hide latency: phases using this
-     * pattern should keep stallExposureScale at 1.0.
-     */
-    static MemPatternSpec pointerChase(std::uint64_t footprint,
-                                       double write_frac = 0.0);
     /** @} */
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "base/random.hh"
 #include "hw/cpu_core.hh"
 #include "workload/microbench.hh"
 
@@ -25,8 +26,8 @@ class AttributionProperty
     {
         Fixture()
             : cfg(MachineConfig::corei7_920()),
-              llc("LLC", cfg.llc, Random(2)),
-              core(0, cfg, eq, &llc, Random(3))
+              llc("LLC", cfg.llc),
+              core(0, cfg, eq, &llc)
         {
         }
 

@@ -9,17 +9,17 @@ namespace
 {
 
 CacheGeometry
-smallGeom(ReplPolicy policy = ReplPolicy::lru)
+smallGeom()
 {
     // 4 sets x 2 ways x 64 B = 512 B.
-    return {512, 2, 64, policy};
+    return {512, 2, 64};
 }
 
 CacheGeometry
 fourWayGeom()
 {
     // 4 sets x 4 ways x 64 B = 1 KB.
-    return {1024, 4, 64, ReplPolicy::lru};
+    return {1024, 4, 64};
 }
 
 /** Line @p k of set 0 in the fourWayGeom() cache. */
@@ -34,13 +34,13 @@ set0Line(Addr k)
 TEST(Cache, GeometrySets)
 {
     EXPECT_EQ(smallGeom().sets(), 4u);
-    CacheGeometry big{8 * 1024 * 1024, 16, 64, ReplPolicy::lru};
+    CacheGeometry big{8 * 1024 * 1024, 16, 64};
     EXPECT_EQ(big.sets(), 8192u);
 }
 
 TEST(Cache, MissThenHit)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     EXPECT_FALSE(c.access(0x1000, false));
     EXPECT_TRUE(c.access(0x1000, false));
     EXPECT_TRUE(c.access(0x103f, false)); // same line
@@ -51,7 +51,7 @@ TEST(Cache, MissThenHit)
 
 TEST(Cache, LruEviction)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     // Three lines in set 0: line addresses 0, 4 and 8, and the set
     // is the line address modulo the 4 sets.
     const Addr a = 0, b = 4 * 64, d = 8 * 64;
@@ -67,7 +67,7 @@ TEST(Cache, LruEviction)
 
 TEST(Cache, LruEvictsLeastRecentlyTouchedAfterInterleavedHits)
 {
-    Cache c("t", fourWayGeom(), Random(1));
+    Cache c("t", fourWayGeom());
     const Addr a = set0Line(0), b = set0Line(1), d = set0Line(2),
                e = set0Line(3);
     for (Addr x : {a, b, d, e})
@@ -94,7 +94,7 @@ TEST(Cache, LruEvictsLeastRecentlyTouchedAfterInterleavedHits)
 
 TEST(Cache, LruFlushOfMidRecencyLineLeavesRoom)
 {
-    Cache c("t", fourWayGeom(), Random(1));
+    Cache c("t", fourWayGeom());
     const Addr a = set0Line(0), b = set0Line(1), d = set0Line(2),
                e = set0Line(3);
     for (Addr x : {a, b, d, e})
@@ -118,7 +118,7 @@ TEST(Cache, LruFlushOfMidRecencyLineLeavesRoom)
 
 TEST(Cache, LruRefillsAfterFlushAllWithoutEvicting)
 {
-    Cache c("t", fourWayGeom(), Random(1));
+    Cache c("t", fourWayGeom());
     for (Addr k = 0; k < 6; ++k)
         c.access(set0Line(k), false);
     EXPECT_EQ(c.stats().evictions, 2u);
@@ -138,7 +138,7 @@ TEST(Cache, LruRefillsAfterFlushAllWithoutEvicting)
 
 TEST(Cache, ContainsHasNoSideEffects)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     EXPECT_FALSE(c.contains(0x40));
     EXPECT_EQ(c.stats().accesses(), 0u);
     c.access(0x40, false);
@@ -148,7 +148,7 @@ TEST(Cache, ContainsHasNoSideEffects)
 
 TEST(Cache, FlushLine)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     c.access(0x40, false);
     EXPECT_TRUE(c.flushLine(0x40));
     EXPECT_FALSE(c.contains(0x40));
@@ -158,7 +158,7 @@ TEST(Cache, FlushLine)
 
 TEST(Cache, FlushAll)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     for (Addr a = 0; a < 512; a += 64)
         c.access(a, false);
     EXPECT_GT(c.residentLines(), 0u);
@@ -168,7 +168,7 @@ TEST(Cache, FlushAll)
 
 TEST(Cache, ResetStatsKeepsContents)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     c.access(0x40, false);
     c.resetStats();
     EXPECT_EQ(c.stats().accesses(), 0u);
@@ -178,7 +178,7 @@ TEST(Cache, ResetStatsKeepsContents)
 TEST(Cache, WorkingSetFitsNoCapacityMisses)
 {
     // 8 KB, 4-way: footprint of 4 KB fits entirely.
-    Cache c("t", {8192, 4, 64, ReplPolicy::lru}, Random(1));
+    Cache c("t", {8192, 4, 64});
     for (int round = 0; round < 3; ++round)
         for (Addr a = 0; a < 4096; a += 64)
             c.access(a, false);
@@ -189,7 +189,7 @@ TEST(Cache, WorkingSetFitsNoCapacityMisses)
 
 TEST(Cache, StreamOverCapacityAlwaysMisses)
 {
-    Cache c("t", {8192, 4, 64, ReplPolicy::lru}, Random(1));
+    Cache c("t", {8192, 4, 64});
     // 64 KB stream, 8x capacity: LRU gives zero reuse.
     for (int round = 0; round < 2; ++round)
         for (Addr a = 0; a < 65536; a += 64)
@@ -200,7 +200,7 @@ TEST(Cache, StreamOverCapacityAlwaysMisses)
 
 TEST(Cache, MissRate)
 {
-    Cache c("t", smallGeom(), Random(1));
+    Cache c("t", smallGeom());
     c.access(0x40, false);
     c.access(0x40, false);
     c.access(0x40, false);
@@ -211,7 +211,7 @@ TEST(Cache, MissRate)
 TEST(Cache, NonPowerOfTwoSetCount)
 {
     // 3 sets via modulo indexing (192 B, 1 way).
-    Cache c("t", {192, 1, 64, ReplPolicy::lru}, Random(1));
+    Cache c("t", {192, 1, 64});
     c.access(0 * 64, false);
     c.access(1 * 64, false);
     c.access(2 * 64, false);
@@ -223,39 +223,15 @@ TEST(Cache, NonPowerOfTwoSetCount)
     EXPECT_FALSE(c.contains(0));
 }
 
-TEST(Cache, TreePlruIsSane)
-{
-    Cache c("t", {2048, 4, 64, ReplPolicy::treePlru}, Random(1));
-    // Fill one set (8 sets, so stride 512 hits set 0).
-    for (int i = 0; i < 4; ++i)
-        c.access(static_cast<Addr>(i) * 512, false);
-    // Touch way 0's line, then insert a new line: way 0 survives.
-    c.access(0, false);
-    c.access(4 * 512, false);
-    EXPECT_TRUE(c.contains(0));
-    EXPECT_EQ(c.residentLines(), 4u);
-}
-
-TEST(Cache, RandomPolicyEvictsSomething)
-{
-    Cache c("t", {2048, 4, 64, ReplPolicy::random}, Random(7));
-    for (int i = 0; i < 5; ++i)
-        c.access(static_cast<Addr>(i) * 512, false);
-    EXPECT_EQ(c.stats().evictions, 1u);
-    EXPECT_EQ(c.residentLines(), 4u);
-}
-
 TEST(CacheDeath, BadGeometry)
 {
-    EXPECT_DEATH(Cache("t", {100, 2, 64, ReplPolicy::lru},
-                       Random(1)),
-                 "size");
+    EXPECT_DEATH(Cache("t", {100, 2, 64}), "size");
 }
 
 TEST(CacheDeath, LineSizeBelowTwo)
 {
     // A 1-byte line would make every address a line address,
     // including the empty-way tag.
-    EXPECT_DEATH(Cache("t", {64, 1, 1, ReplPolicy::lru}, Random(1)),
+    EXPECT_DEATH(Cache("t", {64, 1, 1}),
                  "line size");
 }

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "base/random.hh"
 #include "hw/cache.hh"
 
 using namespace klebsim;
@@ -13,9 +14,18 @@ using namespace klebsim::hw;
 namespace
 {
 
+/**
+ * The replacement-policy column of both sweeps.  LRU is the model's
+ * only policy; the column keeps each row's printed parameter, and so
+ * its full ctest name, stable.
+ */
+enum class Policy
+{
+    lru,
+};
+
 /** (size, ways, policy) sweep. */
-using CacheParam = std::tuple<std::uint64_t, std::uint32_t,
-                              ReplPolicy>;
+using CacheParam = std::tuple<std::uint64_t, std::uint32_t, Policy>;
 
 class CacheProperty
     : public ::testing::TestWithParam<CacheParam>
@@ -24,8 +34,7 @@ class CacheProperty
     CacheGeometry
     geom() const
     {
-        auto [size, ways, policy] = GetParam();
-        return {size, ways, 64, policy};
+        return {std::get<0>(GetParam()), std::get<1>(GetParam()), 64};
     }
 };
 
@@ -34,7 +43,7 @@ class CacheProperty
 /** Property: an access to a just-accessed line always hits. */
 TEST_P(CacheProperty, ImmediateReuseAlwaysHits)
 {
-    Cache c("p", geom(), Random(1));
+    Cache c("p", geom());
     Random rng(77);
     for (int i = 0; i < 2000; ++i) {
         Addr a = rng.next64() % (1 << 26);
@@ -46,7 +55,7 @@ TEST_P(CacheProperty, ImmediateReuseAlwaysHits)
 /** Property: hits + misses == accesses, always. */
 TEST_P(CacheProperty, StatsBalance)
 {
-    Cache c("p", geom(), Random(2));
+    Cache c("p", geom());
     Random rng(78);
     for (int i = 0; i < 5000; ++i)
         c.access(rng.next64() % (1 << 24), rng.chance(0.5));
@@ -57,7 +66,7 @@ TEST_P(CacheProperty, StatsBalance)
 /** Property: resident lines never exceed the capacity in lines. */
 TEST_P(CacheProperty, ResidencyBounded)
 {
-    Cache c("p", geom(), Random(3));
+    Cache c("p", geom());
     Random rng(79);
     std::uint64_t capacity_lines = geom().sizeBytes / 64;
     for (int i = 0; i < 5000; ++i) {
@@ -73,7 +82,7 @@ TEST_P(CacheProperty, ResidencyBounded)
 /** Property: evictions == misses - lines resident at the end. */
 TEST_P(CacheProperty, EvictionAccounting)
 {
-    Cache c("p", geom(), Random(4));
+    Cache c("p", geom());
     Random rng(80);
     for (int i = 0; i < 4000; ++i)
         c.access(rng.next64() % (1 << 26), false);
@@ -84,7 +93,7 @@ TEST_P(CacheProperty, EvictionAccounting)
 /** Property: a working set within one way-worth per set is stable. */
 TEST_P(CacheProperty, SmallWorkingSetStable)
 {
-    Cache c("p", geom(), Random(5));
+    Cache c("p", geom());
     // One line per set: footprint = sets * lineSize.
     std::uint64_t footprint = geom().sets() * 64;
     for (int round = 0; round < 4; ++round)
@@ -97,7 +106,7 @@ TEST_P(CacheProperty, SmallWorkingSetStable)
 /** Property: flushAll leaves an empty cache that re-misses. */
 TEST_P(CacheProperty, FlushAllResets)
 {
-    Cache c("p", geom(), Random(6));
+    Cache c("p", geom());
     for (Addr a = 0; a < 4096; a += 64)
         c.access(a, false);
     c.flushAll();
@@ -110,28 +119,19 @@ TEST_P(CacheProperty, FlushAllResets)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheProperty,
     ::testing::Values(
-        CacheParam{4096, 1, ReplPolicy::lru},       // direct-mapped
-        CacheParam{32768, 8, ReplPolicy::lru},      // L1-like
-        CacheParam{262144, 8, ReplPolicy::lru},     // L2-like
-        CacheParam{32768, 8, ReplPolicy::treePlru},
-        CacheParam{32768, 8, ReplPolicy::random},
-        CacheParam{49152, 12, ReplPolicy::lru},     // non-pow2 ways
-        CacheParam{196608, 3, ReplPolicy::random},  // odd ways
+        CacheParam{4096, 1, Policy::lru},   // direct-mapped
+        CacheParam{32768, 8, Policy::lru},  // L1-like
+        CacheParam{262144, 8, Policy::lru}, // L2-like
+        CacheParam{49152, 12, Policy::lru}, // non-pow2 ways
         // 11 ways x 104 sets: the modulo set index.
-        CacheParam{73216, 11, ReplPolicy::lru},
-        CacheParam{73216, 11, ReplPolicy::random}),
+        CacheParam{73216, 11, Policy::lru}),
     [](const ::testing::TestParamInfo<CacheParam> &info) {
         // Note: no structured bindings here — the unparenthesized
         // commas would split the INSTANTIATE macro's arguments.
         std::uint64_t size = std::get<0>(info.param);
         std::uint32_t ways = std::get<1>(info.param);
-        ReplPolicy policy = std::get<2>(info.param);
-        const char *pol =
-            policy == ReplPolicy::lru
-                ? "lru"
-                : policy == ReplPolicy::random ? "rand" : "plru";
         return std::to_string(size / 1024) + "k_w" +
-               std::to_string(ways) + "_" + pol;
+               std::to_string(ways) + "_lru";
     });
 
 namespace
@@ -139,15 +139,14 @@ namespace
 
 /**
  * Straightforward reference for hw::Cache: a valid flag and a
- * set-relative tag per way, division indexing, an LRU stamp scan,
- * the same tree-PLRU walk and rng.below(ways) for random.
+ * set-relative tag per way, division indexing, the lowest empty way
+ * first and an LRU stamp scan for the victim.
  */
 class RefCache
 {
   public:
-    RefCache(const CacheGeometry &g, Random rng)
-        : g_(g), sets_(g.sets()), ways_(sets_ * g.ways),
-          plru_(sets_ * g.ways, 0), rng_(rng)
+    explicit RefCache(const CacheGeometry &g)
+        : g_(g), sets_(g.sets()), ways_(sets_ * g.ways)
     {
     }
 
@@ -243,44 +242,11 @@ class RefCache
     touch(std::uint64_t set, std::uint32_t way)
     {
         ways_[set * g_.ways + way].stamp = ++clock_;
-        if (g_.policy != ReplPolicy::treePlru)
-            return;
-        std::uint8_t *bits = &plru_[set * g_.ways];
-        std::uint32_t node = 1, lo = 0, hi = g_.ways;
-        while (hi - lo > 1) {
-            std::uint32_t mid = (lo + hi) / 2;
-            if (way < mid) {
-                bits[node] = 1;
-                hi = mid;
-                node = 2 * node;
-            } else {
-                bits[node] = 0;
-                lo = mid;
-                node = 2 * node + 1;
-            }
-        }
     }
 
     std::uint32_t
-    victim(std::uint64_t set)
+    victim(std::uint64_t set) const
     {
-        if (g_.policy == ReplPolicy::random)
-            return rng_.below(g_.ways);
-        if (g_.policy == ReplPolicy::treePlru) {
-            const std::uint8_t *bits = &plru_[set * g_.ways];
-            std::uint32_t node = 1, lo = 0, hi = g_.ways;
-            while (hi - lo > 1) {
-                std::uint32_t mid = (lo + hi) / 2;
-                if (bits[node]) {
-                    lo = mid;
-                    node = 2 * node + 1;
-                } else {
-                    hi = mid;
-                    node = 2 * node;
-                }
-            }
-            return lo;
-        }
         const Way *ways = &ways_[set * g_.ways];
         std::uint32_t oldest = 0;
         for (std::uint32_t w = 1; w < g_.ways; ++w)
@@ -292,9 +258,7 @@ class RefCache
     CacheGeometry g_;
     std::uint64_t sets_;
     std::vector<Way> ways_;
-    std::vector<std::uint8_t> plru_;
     std::uint64_t clock_ = 0;
-    Random rng_;
 };
 
 /** (label, size, ways) of a geometry the reference sweep covers. */
@@ -312,7 +276,7 @@ PrintTo(const RefGeometry &g, std::ostream *os)
     *os << g.label;
 }
 
-using RefParam = std::tuple<RefGeometry, ReplPolicy>;
+using RefParam = std::tuple<RefGeometry, Policy>;
 
 class CacheReference : public ::testing::TestWithParam<RefParam>
 {
@@ -330,15 +294,15 @@ class CacheReference : public ::testing::TestWithParam<RefParam>
  */
 TEST_P(CacheReference, MatchesReferenceModel)
 {
-    const auto &[shape, policy] = GetParam();
-    const CacheGeometry geom{shape.size, shape.ways, 64, policy};
+    const RefGeometry &shape = std::get<0>(GetParam());
+    const CacheGeometry geom{shape.size, shape.ways, 64};
     const std::uint64_t sets = geom.sets();
     const std::uint64_t hotSets[] = {0, sets - 1, sets / 2 + 1,
                                      sets / 3 + 2};
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        Cache cache("dut", geom, Random(seed, 3));
-        RefCache ref(geom, Random(seed, 3));
+        Cache cache("dut", geom);
+        RefCache ref(geom);
         Random rng(seed + 1000);
         for (int op = 0; op < 3000; ++op) {
             Addr addr;
@@ -402,11 +366,7 @@ constexpr RefGeometry otherWays[] = {
 std::string
 refName(const ::testing::TestParamInfo<RefParam> &info)
 {
-    const ReplPolicy policy = std::get<1>(info.param);
-    return std::string(std::get<0>(info.param).label) +
-           (policy == ReplPolicy::lru
-                ? "_lru"
-                : policy == ReplPolicy::random ? "_rand" : "_plru");
+    return std::string(std::get<0>(info.param).label) + "_lru";
 }
 
 } // namespace
@@ -414,15 +374,11 @@ refName(const ::testing::TestParamInfo<RefParam> &info)
 INSTANTIATE_TEST_SUITE_P(
     Pow2Ways, CacheReference,
     ::testing::Combine(::testing::ValuesIn(pow2Ways),
-                       ::testing::Values(ReplPolicy::lru,
-                                         ReplPolicy::random,
-                                         ReplPolicy::treePlru)),
+                       ::testing::Values(Policy::lru)),
     refName);
 
-// Tree-PLRU needs a power-of-two way count.
 INSTANTIATE_TEST_SUITE_P(
     OtherWays, CacheReference,
     ::testing::Combine(::testing::ValuesIn(otherWays),
-                       ::testing::Values(ReplPolicy::lru,
-                                         ReplPolicy::random)),
+                       ::testing::Values(Policy::lru)),
     refName);

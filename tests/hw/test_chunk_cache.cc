@@ -34,8 +34,8 @@ struct Fixture
 {
     explicit Fixture(MachineConfig config = MachineConfig::corei7_920())
         : cfg(config),
-          llc("LLC", cfg.llc, Random(2)),
-          core(0, cfg, eq, &llc, Random(3))
+          llc("LLC", cfg.llc),
+          core(0, cfg, eq, &llc)
     {
     }
 

@@ -18,8 +18,8 @@ struct Fixture
 {
     Fixture()
         : cfg(MachineConfig::corei7_920()),
-          llc("LLC", cfg.llc, Random(2)),
-          core(0, cfg, eq, &llc, Random(3))
+          llc("LLC", cfg.llc),
+          core(0, cfg, eq, &llc)
     {
     }
 

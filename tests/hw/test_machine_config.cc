@@ -55,8 +55,8 @@ TEST_P(MachinePreset, GeometryIsConsistent)
 TEST_P(MachinePreset, CachesConstructAndOperate)
 {
     MachineConfig cfg = GetParam().make();
-    Cache llc("LLC", cfg.llc, Random(1));
-    MemHierarchy mem(cfg, &llc, Random(2));
+    Cache llc("LLC", cfg.llc);
+    MemHierarchy mem(cfg, &llc);
     AccessOutcome cold = mem.access(0x1234000, false);
     EXPECT_EQ(cold.level, MemLevel::dram);
     AccessOutcome warm = mem.access(0x1234000, false);

@@ -12,8 +12,8 @@ struct Fixture
 {
     Fixture()
         : cfg(MachineConfig::corei7_920()),
-          llc("LLC", cfg.llc, Random(2)),
-          mem(cfg, &llc, Random(3))
+          llc("LLC", cfg.llc),
+          mem(cfg, &llc)
     {
     }
 
@@ -122,9 +122,9 @@ TEST(MemHierarchy, OutcomeEventsStoreHit)
 TEST(MemHierarchy, SharedLlcVisibleAcrossHierarchies)
 {
     MachineConfig cfg = MachineConfig::corei7_920();
-    Cache llc("LLC", cfg.llc, Random(2));
-    MemHierarchy core0(cfg, &llc, Random(3));
-    MemHierarchy core1(cfg, &llc, Random(4));
+    Cache llc("LLC", cfg.llc);
+    MemHierarchy core0(cfg, &llc);
+    MemHierarchy core1(cfg, &llc);
 
     core0.access(0x5000, false);
     // Core 1's private caches are cold but the LLC is shared.

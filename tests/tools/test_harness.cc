@@ -95,16 +95,6 @@ TEST(Harness, LimitUnsupportedWithoutPatch)
     EXPECT_FALSE(r.supported);
 }
 
-TEST(Harness, RunManyProducesDistinctSeeds)
-{
-    RunConfig cfg = smallConfig(ToolKind::none);
-    cfg.costs.costSigma = 0.08;
-    auto secs = runMany(cfg, 3);
-    ASSERT_EQ(secs.size(), 3u);
-    for (double s : secs)
-        EXPECT_GT(s, 0.03);
-}
-
 TEST(Harness, OverheadPct)
 {
     EXPECT_NEAR(overheadPct({1.05, 1.07}, {1.0, 1.0}), 6.0, 1e-9);

@@ -13,7 +13,7 @@ struct MemFixture
 {
     MemFixture()
         : cfg(hw::MachineConfig::corei7_920()),
-          llc("LLC", cfg.llc, Random(2)), mem(cfg, &llc, Random(3))
+          llc("LLC", cfg.llc), mem(cfg, &llc)
     {
     }
 

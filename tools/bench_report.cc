@@ -8,8 +8,6 @@
  *   bench_report --from-gbench <gbench.json> --out <report.json>
  *   bench_report --compare <baseline.json> <current.json>
  *                [--threshold <x>]
- *   bench_report --check-budget <pareto.csv> [--slack <pct>]
- *   bench_report --check-fleet <fleet.csv>
  *   bench_report --self-test
  *
  * Report format (one ns/op number per benchmark):
@@ -34,42 +32,19 @@
  * Benchmarks that exist only in the baseline (retired counters) are
  * reported but never gate.
  *
- * --check-budget gates the adaptive-sampling Pareto CSV emitted by
- * `abl_adaptive_budget --csv`: every adaptive row of the long-form
- * matmul workload must measure overhead_pct <= budget_pct + slack
- * (default 0.75 — the fixed session costs put a floor under
- * reachable overhead, so an aggressive budget legitimately lands a
- * fraction above it with the governor pegged at its period
- * ceiling), and its count accuracy must sit within 2 percentage
- * points of the best fixed-rate row for the same workload.  Short
- * workloads (table III's sub-100 ms dgemm) finish before the
- * governor's estimate converges; their adaptive rows are reported
- * but never gate.  Exit 1 on violation or when no adaptive matmul
- * row exists.
- *
- * --check-fleet gates the fleet smoke CSV emitted by
- * `abl_fleet_scale`: every row's accounting partition must balance
- * (kept + dropped + vanished + quarantined == produced), every
- * scenario must carry one digest pair across all jobs values (with
- * at least two distinct jobs values present), and every crash row
- * must have restarted at least once while still matching its
- * crash-free scenario's digests byte for byte.  Exit 1 on any
- * violation.
- *
  * Both parsers are deliberately minimal: they handle the JSON these
  * two producers emit (string keys, numbers, flat-ish structure), not
  * arbitrary JSON.
  */
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace
 {
@@ -333,262 +308,6 @@ compare(const BenchMap &baseline, const BenchMap &current,
     return 0;
 }
 
-/** One parsed row of the adaptive-budget Pareto CSV. */
-struct ParetoRow
-{
-    std::string workload;
-    std::string mode;
-    std::string config;
-    double budgetPct = 0.0;
-    double overheadPct = 0.0;
-    double accuracyErrPct = 0.0;
-};
-
-/** The machine-readable contract abl_adaptive_budget emits. */
-constexpr const char *paretoHeader =
-    "workload,mode,config,budget_pct,overhead_pct,"
-    "accuracy_err_pct,samples,period_changes,final_period_us,"
-    "mean_s";
-
-/**
- * Pull the Pareto rows out of @p text (which may contain banner /
- * table noise around the CSV block).  Baseline rows carry "-" in
- * the numeric columns and are skipped.
- */
-bool
-parseParetoCsv(const std::string &text,
-               std::vector<ParetoRow> *out, std::string *error)
-{
-    std::size_t hdr = text.find(paretoHeader);
-    if (hdr == std::string::npos) {
-        *error = "no adaptive-budget CSV header";
-        return false;
-    }
-    std::istringstream lines(text.substr(hdr));
-    std::string line;
-    std::getline(lines, line); // header itself
-    while (std::getline(lines, line)) {
-        std::vector<std::string> cells;
-        std::istringstream cs(line);
-        std::string cell;
-        while (std::getline(cs, cell, ','))
-            cells.push_back(cell);
-        if (cells.size() != 10)
-            break; // end of the CSV block
-        if (cells[3] == "-")
-            continue; // baseline row
-        ParetoRow row;
-        row.workload = cells[0];
-        row.mode = cells[1];
-        row.config = cells[2];
-        row.budgetPct = std::strtod(cells[3].c_str(), nullptr);
-        row.overheadPct = std::strtod(cells[4].c_str(), nullptr);
-        row.accuracyErrPct =
-            std::strtod(cells[5].c_str(), nullptr);
-        out->push_back(std::move(row));
-    }
-    if (out->empty()) {
-        *error = "no data rows under the CSV header";
-        return false;
-    }
-    return true;
-}
-
-/**
- * @return process exit code: 0 when every gated adaptive row holds
- * its budget and accuracy bound, 1 otherwise.
- */
-int
-checkBudget(const std::vector<ParetoRow> &rows, double slack)
-{
-    // Accuracy reference: the best fixed-rate row per workload.
-    std::map<std::string, double> best_fixed;
-    for (const ParetoRow &r : rows) {
-        if (r.mode != "fixed")
-            continue;
-        auto it = best_fixed.find(r.workload);
-        if (it == best_fixed.end() ||
-            r.accuracyErrPct < it->second)
-            best_fixed[r.workload] = r.accuracyErrPct;
-    }
-
-    int failures = 0;
-    int gated = 0;
-    for (const ParetoRow &r : rows) {
-        if (r.mode != "adaptive")
-            continue;
-        // Only the long-form matmul gates: the governor needs a
-        // few drain cycles to converge, which sub-100 ms programs
-        // don't grant (that is the table III story, not a bug).
-        const bool gates = r.workload == "matmul";
-        if (gates)
-            ++gated;
-        const char *tag = gates ? "ok" : "info";
-        bool over = r.overheadPct > r.budgetPct + slack;
-        auto fixed_it = best_fixed.find(r.workload);
-        bool inaccurate =
-            fixed_it != best_fixed.end() &&
-            r.accuracyErrPct > fixed_it->second + 2.0;
-        if (gates && (over || inaccurate)) {
-            tag = over ? "OVERBUDGET" : "INACCURATE";
-            ++failures;
-        }
-        std::printf("  %-10s %-8s %-6s budget %5.2f%%  "
-                    "overhead %6.3f%%  accuracy-err %6.4f%%\n",
-                    tag, r.workload.c_str(), r.config.c_str(),
-                    r.budgetPct, r.overheadPct,
-                    r.accuracyErrPct);
-    }
-    if (gated == 0) {
-        std::printf("bench_report: no gated adaptive rows in "
-                    "the CSV\n");
-        return 1;
-    }
-    if (failures > 0) {
-        std::printf("bench_report: %d adaptive row(s) broke the "
-                    "budget (slack %.2f%%) or accuracy bound\n",
-                    failures, slack);
-        return 1;
-    }
-    std::printf("bench_report: %d adaptive row(s) within budget "
-                "(slack %.2f%%) and accuracy bound\n",
-                gated, slack);
-    return 0;
-}
-
-/** One parsed row of the fleet smoke CSV (abl_fleet_scale). */
-struct FleetRow
-{
-    std::string scenario;
-    unsigned jobs = 0;
-    std::uint64_t machines = 0;
-    std::uint64_t produced = 0;
-    std::uint64_t kept = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t vanished = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t restarts = 0;
-    bool balanced = false;
-    std::string matches;
-    std::string csvDigest;
-    std::string treeDigest;
-};
-
-/** The machine-readable contract abl_fleet_scale emits. */
-constexpr const char *fleetHeader =
-    "scenario,jobs,machines,produced,kept,dropped,vanished,"
-    "quarantined,accepted,holes,restarts,balanced,matches,"
-    "csv_digest,tree_digest";
-
-/** Pull the fleet smoke rows out of @p text (banner noise ok). */
-bool
-parseFleetCsv(const std::string &text, std::vector<FleetRow> *out,
-              std::string *error)
-{
-    std::size_t hdr = text.find(fleetHeader);
-    if (hdr == std::string::npos) {
-        *error = "no fleet smoke CSV header";
-        return false;
-    }
-    std::istringstream lines(text.substr(hdr));
-    std::string line;
-    std::getline(lines, line); // header itself
-    while (std::getline(lines, line)) {
-        std::vector<std::string> cells;
-        std::istringstream cs(line);
-        std::string cell;
-        while (std::getline(cs, cell, ','))
-            cells.push_back(cell);
-        if (cells.size() != 15)
-            break; // end of the CSV block
-        FleetRow row;
-        row.scenario = cells[0];
-        row.jobs = static_cast<unsigned>(
-            std::strtoul(cells[1].c_str(), nullptr, 10));
-        row.machines = std::strtoull(cells[2].c_str(), nullptr, 10);
-        row.produced = std::strtoull(cells[3].c_str(), nullptr, 10);
-        row.kept = std::strtoull(cells[4].c_str(), nullptr, 10);
-        row.dropped = std::strtoull(cells[5].c_str(), nullptr, 10);
-        row.vanished = std::strtoull(cells[6].c_str(), nullptr, 10);
-        row.quarantined =
-            std::strtoull(cells[7].c_str(), nullptr, 10);
-        row.restarts = std::strtoull(cells[10].c_str(), nullptr, 10);
-        row.balanced = cells[11] == "yes";
-        row.matches = cells[12];
-        row.csvDigest = cells[13];
-        row.treeDigest = cells[14];
-        out->push_back(std::move(row));
-    }
-    if (out->empty()) {
-        *error = "no data rows under the fleet CSV header";
-        return false;
-    }
-    return true;
-}
-
-/**
- * Gate the fleet smoke CSV: every row must balance its accounting
- * partition, every scenario's digest pair must be identical across
- * jobs values (at least two distinct jobs values must appear), and
- * every crash row must both have restarted and match its crash-free
- * scenario's digests byte for byte.
- * @return process exit code (0 = all gates hold).
- */
-int
-checkFleet(const std::vector<FleetRow> &rows)
-{
-    int failures = 0;
-    auto fail = [&failures](const std::string &msg) {
-        std::printf("  FAIL %s\n", msg.c_str());
-        ++failures;
-    };
-
-    std::map<std::string, const FleetRow *> first_of;
-    std::map<unsigned, int> jobs_seen;
-    for (const FleetRow &r : rows) {
-        ++jobs_seen[r.jobs];
-        const std::string tag =
-            r.scenario + " (jobs " + std::to_string(r.jobs) + ")";
-
-        if (!r.balanced)
-            fail(tag + ": accounting did not balance");
-        if (r.kept + r.dropped + r.vanished + r.quarantined !=
-            r.produced)
-            fail(tag + ": partition sum != produced");
-
-        // All rows of one scenario share one digest pair.
-        auto [it, fresh] = first_of.try_emplace(r.scenario, &r);
-        if (!fresh && (it->second->csvDigest != r.csvDigest ||
-                       it->second->treeDigest != r.treeDigest))
-            fail(tag + ": digests differ across jobs values");
-    }
-
-    if (jobs_seen.size() < 2)
-        fail("need rows at two or more jobs values to prove "
-             "jobs-invariance");
-
-    for (const FleetRow &r : rows) {
-        if (r.matches == "-")
-            continue;
-        auto it = first_of.find(r.matches);
-        if (it == first_of.end()) {
-            fail(r.scenario + ": matches unknown scenario '" +
-                 r.matches + "'");
-            continue;
-        }
-        if (r.csvDigest != it->second->csvDigest ||
-            r.treeDigest != it->second->treeDigest)
-            fail(r.scenario + ": digests diverge from scenario '" +
-                 r.matches + "'");
-        if (r.restarts == 0)
-            fail(r.scenario + ": crash scenario never restarted");
-    }
-
-    std::printf("bench_report: %zu fleet row(s), %d failure(s)\n",
-                rows.size(), failures);
-    return failures > 0 ? 1 : 0;
-}
-
 int
 selfTest()
 {
@@ -661,78 +380,6 @@ selfTest()
     check(!parseGbench("{}", &empty, &error), "gbench parse error");
     check(!parseReport("{}", &empty, &error), "report parse error");
 
-    const std::string pareto =
-        "=== banner noise ===\n" + std::string(paretoHeader) +
-        "\n"
-        "matmul,baseline,-,-,-,-,0,0,0.0,0.6366\n"
-        "matmul,fixed,10ms,0.00,0.623,0.0000,64,0,10000.0,0.64\n"
-        "matmul,adaptive,b1.0,1.00,1.160,0.0000,983,4,1600.0,"
-        "0.6439\n"
-        "mkl,adaptive,b1.0,1.00,6.566,0.0000,325,0,100.0,0.0337\n"
-        "trailing non-csv line\n";
-    std::vector<ParetoRow> rows;
-    check(parseParetoCsv(pareto, &rows, &error), "pareto parse");
-    check(rows.size() == 3, "pareto row count (baseline skipped)");
-    check(checkBudget(rows, 0.75) == 0, "budget holds at slack");
-    check(checkBudget(rows, 0.10) == 1, "budget breaks w/o slack");
-    std::vector<ParetoRow> sloppy = rows;
-    sloppy[1].accuracyErrPct = 5.0; // the matmul adaptive row
-    check(checkBudget(sloppy, 0.75) == 1,
-          "accuracy bound vs best fixed row");
-    std::vector<ParetoRow> mkl_only{rows[2]};
-    check(checkBudget(mkl_only, 0.75) == 1,
-          "no gated rows fails");
-    std::vector<ParetoRow> none;
-    check(!parseParetoCsv("{}", &none, &error),
-          "pareto parse error");
-
-    const std::string fleet =
-        "=== banner noise ===\nfleet smoke CSV\n" +
-        std::string(fleetHeader) +
-        "\n"
-        "baseline,1,256,5120,5120,0,0,0,5120,0,0,yes,-,"
-        "aabbccdd,11223344\n"
-        "baseline,4,256,5120,5120,0,0,0,5120,0,0,yes,-,"
-        "aabbccdd,11223344\n"
-        "chaos,1,256,5120,4000,600,420,100,4000,3,0,yes,-,"
-        "deadbeef,55667788\n"
-        "chaos,4,256,5120,4000,600,420,100,4000,3,0,yes,-,"
-        "deadbeef,55667788\n"
-        "collector-crash,4,256,5120,5120,0,0,0,5120,0,1,yes,"
-        "baseline,aabbccdd,11223344\n"
-        "trailing non-csv line\n";
-    std::vector<FleetRow> frows;
-    check(parseFleetCsv(fleet, &frows, &error), "fleet parse");
-    check(frows.size() == 5, "fleet row count");
-    check(checkFleet(frows) == 0, "fleet gates hold");
-
-    std::vector<FleetRow> unbalanced = frows;
-    unbalanced[2].balanced = false;
-    check(checkFleet(unbalanced) == 1, "unbalanced row fails");
-
-    std::vector<FleetRow> skewed = frows;
-    skewed[1].treeDigest = "ffffffff";
-    check(checkFleet(skewed) == 1, "jobs digest skew fails");
-
-    std::vector<FleetRow> diverged = frows;
-    diverged[4].csvDigest = "ffffffff";
-    check(checkFleet(diverged) == 1, "crash divergence fails");
-
-    std::vector<FleetRow> norestart = frows;
-    norestart[4].restarts = 0;
-    check(checkFleet(norestart) == 1, "crash w/o restart fails");
-
-    std::vector<FleetRow> lopsided = frows;
-    lopsided[3].produced = 9999;
-    check(checkFleet(lopsided) == 1, "partition sum fails");
-
-    std::vector<FleetRow> onejob{frows[0], frows[2]};
-    check(checkFleet(onejob) == 1, "single jobs value fails");
-
-    std::vector<FleetRow> nofleet;
-    check(!parseFleetCsv("{}", &nofleet, &error),
-          "fleet parse error");
-
     if (failed == 0)
         std::printf("bench_report: self-test passed\n");
     return failed == 0 ? 0 : 1;
@@ -746,10 +393,8 @@ usage(const char *argv0)
         "usage: %s --from-gbench <gbench.json> --out <report.json>\n"
         "       %s --compare <baseline.json> <current.json>"
         " [--threshold <x>] [--allow-new]\n"
-        "       %s --check-budget <pareto.csv> [--slack <pct>]\n"
-        "       %s --check-fleet <fleet.csv>\n"
         "       %s --self-test\n",
-        argv0, argv0, argv0, argv0, argv0);
+        argv0, argv0, argv0);
     return 2;
 }
 
@@ -758,10 +403,8 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    std::string from_gbench, out, base_path, cur_path, budget_path;
-    std::string fleet_path;
+    std::string from_gbench, out, base_path, cur_path;
     double threshold = 3.0;
-    double slack = 0.75;
     bool do_compare = false, self_test = false, allow_new = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -774,21 +417,6 @@ main(int argc, char **argv)
             do_compare = true;
             base_path = argv[++i];
             cur_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--check-budget") &&
-                   i + 1 < argc) {
-            budget_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--check-fleet") &&
-                   i + 1 < argc) {
-            fleet_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--slack") &&
-                   i + 1 < argc) {
-            char *end = nullptr;
-            slack = std::strtod(argv[++i], &end);
-            if (end == nullptr || *end != '\0' || slack < 0.0) {
-                std::fprintf(stderr,
-                             "bench_report: bad --slack\n");
-                return 2;
-            }
         } else if (!std::strcmp(argv[i], "--threshold") &&
                    i + 1 < argc) {
             char *end = nullptr;
@@ -834,38 +462,6 @@ main(int argc, char **argv)
         std::printf("bench_report: wrote %zu benchmark(s) to %s\n",
                     benches.size(), out.c_str());
         return 0;
-    }
-
-    if (!budget_path.empty()) {
-        std::string text, error;
-        if (!readFile(budget_path, &text)) {
-            std::fprintf(stderr, "bench_report: cannot read %s\n",
-                         budget_path.c_str());
-            return 2;
-        }
-        std::vector<ParetoRow> rows;
-        if (!parseParetoCsv(text, &rows, &error)) {
-            std::fprintf(stderr, "bench_report: %s: %s\n",
-                         budget_path.c_str(), error.c_str());
-            return 2;
-        }
-        return checkBudget(rows, slack);
-    }
-
-    if (!fleet_path.empty()) {
-        std::string text, error;
-        if (!readFile(fleet_path, &text)) {
-            std::fprintf(stderr, "bench_report: cannot read %s\n",
-                         fleet_path.c_str());
-            return 2;
-        }
-        std::vector<FleetRow> rows;
-        if (!parseFleetCsv(text, &rows, &error)) {
-            std::fprintf(stderr, "bench_report: %s: %s\n",
-                         fleet_path.c_str(), error.c_str());
-            return 2;
-        }
-        return checkFleet(rows);
     }
 
     if (do_compare) {

@@ -9,7 +9,9 @@
  * the hardened lifecycle salvages in each case: count accuracy,
  * drop/retry accounting, and whether the session degraded or
  * aborted.  The fault-free row doubles as the control: it must
- * report zero injections and exact counts.
+ * report zero injections and exact counts.  The bench checks that
+ * the control injects nothing and every other row injects at least
+ * one fault (injectionClaims), and exits 1 when a claim breaks.
  */
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "claims.hh"
 #include "tools/harness.hh"
 #include "workload/microbench.hh"
 
@@ -78,6 +81,7 @@ main(int argc, char **argv)
     Table table({"Scenario", "Lifetime (ms)", "Samples",
                  "Inst err %", "Accepted", "Drops", "Retries",
                  "Wraps", "Load att.", "Outcome", "Injections"});
+    std::vector<FaultRow> rows;
     for (std::size_t k = 0; k < scenarios.size(); ++k) {
         const RunResult &r = results[k];
         const std::uint64_t true_inst =
@@ -101,6 +105,9 @@ main(int argc, char **argv)
                       std::to_string(r.klebLoadAttempts),
                       outcome,
                       std::to_string(r.faultsInjected)});
+        // No durable log here, so no balance to check.
+        rows.push_back({scenarios[k].label, scenarios[k].spec,
+                        r.faultsInjected, r.supervisor.restarts});
     }
     table.print();
     if (args.csv)
@@ -111,5 +118,5 @@ main(int argc, char **argv)
                 "stay at 0%% error (wraps corrected); transient "
                 "chardev faults cost retries, not samples; only "
                 "the dead-reader row aborts.\n");
-    return 0;
+    return reportClaims(injectionClaims(rows));
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * The claims two benches check on the rows they compute:
- * abl_fleet_scale (fleetClaims) and abl_adaptive_budget
- * (budgetClaims).  Each check is a pure function from the bench's
+ * The claims four benches check on the rows they compute:
+ * abl_fleet_scale (fleetClaims), abl_adaptive_budget
+ * (budgetClaims), abl_crash_recovery and abl_fault_degradation
+ * (injectionClaims).  Each check is a pure function from the bench's
  * rows to one line per broken claim; the bench passes that list to
  * reportClaims(), which prints each line to stderr as
  * `CLAIM FAILED: ...` and turns it into the exit code.  Standard
@@ -152,6 +153,53 @@ budgetClaims(const std::vector<ParetoRow> &rows)
                 "%.2f pp",
                 tag.c_str(), r.accuracyErrPct, fixed->second,
                 accuracySlackPct));
+    }
+    return broken;
+}
+
+/** One fault scenario run of abl_crash_recovery or abl_fault_degradation. */
+struct FaultRow
+{
+    std::string scenario;
+
+    /** The fault plan spec the row ran ("" = the fault-free control). */
+    std::string spec;
+
+    std::uint64_t injected = 0; //!< injections the plan performed
+    std::uint64_t restarts = 0; //!< supervisor controller restarts
+
+    /** Durable-log frame accounting balanced (true without a log). */
+    bool balanced = true;
+};
+
+/**
+ * The fault-free control injects nothing and restarts nothing; every
+ * other row injects at least one fault; every row that crashes or
+ * hangs the controller (a `controller.` key in its spec) restarts it
+ * at least once; every row's durable log balances.  A fault row that
+ * injects nothing measures the control twice.
+ */
+inline std::vector<std::string>
+injectionClaims(const std::vector<FaultRow> &rows)
+{
+    std::vector<std::string> broken;
+    for (const FaultRow &r : rows) {
+        if (r.spec.empty()) {
+            if (r.injected != 0 || r.restarts != 0)
+                broken.push_back(r.scenario +
+                                 ": the fault-free control injected "
+                                 "or restarted");
+        } else {
+            if (r.injected == 0)
+                broken.push_back(r.scenario + ": no fault fired");
+            if (r.spec.find("controller.") != std::string::npos &&
+                r.restarts == 0)
+                broken.push_back(r.scenario +
+                                 ": the controller never restarted");
+        }
+        if (!r.balanced)
+            broken.push_back(r.scenario +
+                             ": the durable log does not balance");
     }
     return broken;
 }

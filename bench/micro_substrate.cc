@@ -278,7 +278,7 @@ void
 BM_FleetParallelPhase1(benchmark::State &state)
 {
     // Fleet Phases 1+2 (per-machine simulation + uplink transmit)
-    // through the work-stealing pool at Arg jobs.  On a multi-core
+    // through the trial pool at Arg jobs.  On a multi-core
     // host the jobs=8 row divides the jobs=1 wall clock by the
     // worker count; outputs are byte-identical either way (the
     // jobs-invariance CI gate).
@@ -364,11 +364,13 @@ void
 BM_TrialPoolMap(benchmark::State &state)
 {
     // Dispatch + commit cost of the bench trial pool for 64 trivial
-    // trials; bounds the fan-out overhead the experiment benches
-    // pay on top of the simulation itself.
-    bench::TrialPool pool(
-        static_cast<unsigned>(state.range(0)));
+    // trials, thread start and join included; bounds the fan-out
+    // overhead the experiment benches pay on top of the simulation
+    // itself.  The pool is built per map, as runTrials and runFleet
+    // build theirs.
     for (auto _ : state) {
+        bench::TrialPool pool(
+            static_cast<unsigned>(state.range(0)));
         auto seeds =
             pool.map(64, [](std::size_t i) {
                 return bench::trialSeed(1, 2, i);

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <thread>
+
+#include "base/thread_safety.hh"
 
 namespace klebsim::bench
 {
@@ -23,22 +26,25 @@ describeCurrentException()
     }
 }
 
+/** Where one run's participants record the trials that threw. */
+struct FailureSlot
+{
+    TrackedMutex mutex;
+
+    /** @{ Non-catching runs: the lowest-index failure so far. */
+    std::exception_ptr firstError KLEB_GUARDED_BY(mutex);
+    std::size_t firstTrial KLEB_GUARDED_BY(mutex) = ~std::size_t{0};
+    /** @} */
+
+    /** Catching runs: every failure, in completion order. */
+    std::vector<TrialFailure> failures KLEB_GUARDED_BY(mutex);
+};
+
 } // anonymous namespace
 
 TrialPool::TrialPool(unsigned jobs)
-    : jobs_(jobs ? jobs : defaultJobs()), deques_(jobs_)
+    : jobs_(jobs ? jobs : defaultJobs())
 {
-}
-
-TrialPool::~TrialPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
-        shutdown_ = true;
-    }
-    wakeCv_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
 }
 
 unsigned
@@ -71,211 +77,85 @@ TrialPool::run(std::size_t count,
     if (count == 0)
         return;
 
-    if (jobs_ <= 1 || count == 1) {
-        // Sequential reference path: no threads, exceptions
-        // propagate directly from the failing trial (stopping the
-        // loop there), or — catching — are recorded and skipped.
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!catching) {
-                fn(i);
-                continue;
-            }
-            try {
-                fn(i);
-            } catch (...) {
-                if (failures)
-                    failures->push_back(
-                        {i, describeCurrentException()});
-            }
-        }
-        return;
-    }
-
-    std::lock_guard<std::mutex> serialize(runMutex_);
-    ensureWorkers();
-
-    // Shard [0, count) into contiguous runs, 32 per participant so
-    // that stealing can still even out unequal trial costs near the
-    // end of the run.  The split is a pure function of
-    // (count, jobs_): which shard a trial lands in never depends on
-    // scheduling, and a trial's result may depend only on its index
-    // anyway.
+    // 32 shards per participant, so the last shards are small and no
+    // participant idles long while another finishes a big one.  The
+    // split is a pure function of (count, jobs_).
     const std::size_t shardSize =
         std::max<std::size_t>(1, count / (std::size_t{jobs_} * 32));
-    const std::size_t numShards =
-        (count + shardSize - 1) / shardSize;
+    const std::size_t numShards = (count + shardSize - 1) / shardSize;
 
-    job_.fn = &fn;
-    job_.catching = catching;
-    job_.failureFloor.store(~std::size_t{0},
-                            std::memory_order_relaxed);
-    {
-        TrackedLock lock(job_.failMutex);
-        job_.firstError = nullptr;
-        job_.firstTrial = ~std::size_t{0};
-        job_.failures.clear();
-    }
-    job_.shardsLeft.store(numShards, std::memory_order_relaxed);
+    std::atomic<std::size_t> cursor{0};
+    // Lowest failing trial so far; non-catching runs skip every
+    // trial at or above it.  ~0 = no failure.
+    std::atomic<std::size_t> failureFloor{~std::size_t{0}};
+    FailureSlot slot;
 
-    // Deal shards round-robin: participant p owns shards p, p+P,
-    // ..., pushed front-to-back in ascending index order.  Pushing
-    // under each deque's mutex publishes the job_ fields written
-    // above to whichever thread later pops the shard.
-    for (std::size_t s = 0; s < numShards; ++s) {
-        const std::size_t begin = s * shardSize;
-        const std::size_t end = std::min(begin + shardSize, count);
-        ShardDeque &dq = deques_[s % jobs_];
-        TrackedLock lock(dq.mutex);
-        dq.shards.push_back(Shard{begin, end});
-    }
+    auto participate = [&] {
+        for (;;) {
+            const std::size_t s =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (s >= numShards)
+                return;
+            const std::size_t end =
+                std::min(count, (s + 1) * shardSize);
+            for (std::size_t i = s * shardSize; i < end; ++i) {
+                if (!catching &&
+                    i >= failureFloor.load(std::memory_order_relaxed))
+                    break;
+                try {
+                    fn(i);
+                } catch (...) {
+                    if (catching) {
+                        TrackedLock lock(slot.mutex);
+                        slot.failures.push_back(
+                            {i, describeCurrentException()});
+                        continue;
+                    }
+                    // Keep every lower trial running: whichever
+                    // failure ends up lowest is exactly the one a
+                    // sequential run would have surfaced first.
+                    std::size_t floor =
+                        failureFloor.load(std::memory_order_relaxed);
+                    while (i < floor &&
+                           !failureFloor.compare_exchange_weak(
+                               floor, i, std::memory_order_relaxed)) {
+                    }
+                    TrackedLock lock(slot.mutex);
+                    if (i < slot.firstTrial) {
+                        slot.firstTrial = i;
+                        slot.firstError = std::current_exception();
+                    }
+                }
+            }
+        }
+    };
 
-    // Wake the parked workers, then drain shards as worker 0.
-    {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
-        ++epoch_;
-    }
-    wakeCv_.notify_all();
-    participate(0);
+    // The caller is the first participant.  Starting and joining the
+    // threads orders every access to the run's state above; a
+    // jthread also joins if a thread fails to start.
+    const std::size_t participants =
+        std::min<std::size_t>(jobs_, numShards);
+    std::vector<std::jthread> helpers;
+    helpers.reserve(participants - 1);
+    while (helpers.size() + 1 < participants)
+        helpers.emplace_back(participate);
+    participate();
+    for (std::jthread &t : helpers)
+        t.join();
 
-    // Workers may still be running stolen shards after every deque
-    // empties; the run is over once every shard has executed.
-    {
-        std::unique_lock<std::mutex> lock(doneMutex_);
-        doneCv_.wait(lock, [&] {
-            return job_.shardsLeft.load(
-                       std::memory_order_acquire) == 0;
-        });
-    }
-
-    TrackedLock lock(job_.failMutex);
+    TrackedLock lock(slot.mutex);
     if (catching) {
         // Completion order is scheduling noise; report failures in
         // trial order so the caller's view is jobs-invariant.
-        std::sort(job_.failures.begin(), job_.failures.end(),
+        std::sort(slot.failures.begin(), slot.failures.end(),
                   [](const TrialFailure &a, const TrialFailure &b) {
                       return a.trial < b.trial;
                   });
         if (failures)
-            failures->insert(failures->end(),
-                             job_.failures.begin(),
-                             job_.failures.end());
-        job_.failures.clear();
-    } else if (job_.firstError) {
-        std::exception_ptr first_error = job_.firstError;
-        job_.firstError = nullptr;
-        std::rethrow_exception(first_error);
-    }
-}
-
-void
-TrialPool::ensureWorkers()
-{
-    if (!threads_.empty())
-        return;
-    threads_.reserve(jobs_ - 1);
-    for (unsigned w = 1; w < jobs_; ++w)
-        threads_.emplace_back([this, w] { workerLoop(w); });
-}
-
-void
-TrialPool::workerLoop(unsigned self)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(wakeMutex_);
-            wakeCv_.wait(lock, [&] {
-                return shutdown_ || epoch_ != seen;
-            });
-            if (shutdown_)
-                return;
-            seen = epoch_;
-        }
-        participate(self);
-    }
-}
-
-void
-TrialPool::participate(unsigned self)
-{
-    for (;;) {
-        Shard shard;
-        bool found = false;
-
-        // Own deque first, front pop: ascending index order.
-        {
-            ShardDeque &own = deques_[self];
-            TrackedLock lock(own.mutex);
-            if (!own.shards.empty()) {
-                shard = own.shards.front();
-                own.shards.pop_front();
-                found = true;
-            }
-        }
-
-        // Then steal from the back of the first non-empty victim —
-        // the indices its owner would reach last, keeping the
-        // victim's front end uncontended.
-        for (unsigned v = 1; v < jobs_ && !found; ++v) {
-            ShardDeque &victim = deques_[(self + v) % jobs_];
-            TrackedLock lock(victim.mutex);
-            if (!victim.shards.empty()) {
-                shard = victim.shards.back();
-                victim.shards.pop_back();
-                found = true;
-            }
-        }
-
-        if (!found)
-            return;
-
-        executeShard(shard);
-
-        if (job_.shardsLeft.fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            // Last shard done.  Take doneMutex_ (empty critical
-            // section) so the caller's predicate check and our
-            // notify cannot interleave into a lost wakeup.
-            std::lock_guard<std::mutex> lock(doneMutex_);
-            doneCv_.notify_all();
-        }
-    }
-}
-
-void
-TrialPool::executeShard(const Shard &shard)
-{
-    const std::function<void(std::size_t)> &fn = *job_.fn;
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-        if (!job_.catching &&
-            i >= job_.failureFloor.load(std::memory_order_relaxed))
-            continue;
-        try {
-            fn(i);
-        } catch (...) {
-            if (job_.catching) {
-                TrackedLock lock(job_.failMutex);
-                job_.failures.push_back(
-                    {i, describeCurrentException()});
-                continue;
-            }
-            // Suppress trials at or above the failing index but
-            // keep every lower one running: whichever recorded
-            // failure ends up lowest is exactly the one a
-            // sequential run would have surfaced first, no matter
-            // how the shards were stolen.
-            std::size_t floor =
-                job_.failureFloor.load(std::memory_order_relaxed);
-            while (i < floor &&
-                   !job_.failureFloor.compare_exchange_weak(
-                       floor, i, std::memory_order_relaxed)) {
-            }
-            TrackedLock lock(job_.failMutex);
-            if (i < job_.firstTrial) {
-                job_.firstTrial = i;
-                job_.firstError = std::current_exception();
-            }
-        }
+            failures->insert(failures->end(), slot.failures.begin(),
+                             slot.failures.end());
+    } else if (slot.firstError) {
+        std::rethrow_exception(slot.firstError);
     }
 }
 

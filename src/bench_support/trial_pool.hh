@@ -14,41 +14,27 @@
  * value produces byte-identical tables, CSVs, and fleet digests.
  *
  * Execution model (machine-level parallelism, DESIGN.md section 17):
- * the pool owns persistent worker threads, spawned lazily on the
- * first parallel call and parked on a condition variable between
- * calls, so back-to-back runIndexed() invocations pay no thread
- * spawn/join cost (the BM_TrialPoolMap regression this replaced:
- * 48 us of pthread churn per 64-trial map at --jobs 4).  Work is
- * distributed as contiguous index shards over per-participant
- * work-stealing deques: each participant pops shards from the front
- * of its own deque (ascending index order) and, when empty, steals
- * from the back of a victim's deque.  The caller participates as
- * worker 0, so a pool whose workers are busy elsewhere — or a
- * single-core host — degrades to the caller draining every deque
- * itself with nothing but uncontended mutex traffic on top of the
- * sequential path.  Which participant runs which shard is
- * scheduling noise by design; no result may depend on it.
+ * each run cuts [0, count) into contiguous shards of
+ * max(1, count / (jobs * 32)) trials, starts min(jobs, shards) - 1
+ * threads and joins them before it returns.  Every participant —
+ * the caller included — claims shards in ascending order from one
+ * atomic cursor until none is left, so a run with jobs == 1 (or one
+ * shard) runs every trial on the caller, in index order, with no
+ * thread.  Which participant runs which shard is scheduling noise
+ * by design; no result may depend on it.
  */
 
 #ifndef KLEBSIM_BENCH_SUPPORT_TRIAL_POOL_HH
 #define KLEBSIM_BENCH_SUPPORT_TRIAL_POOL_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "base/thread_safety.hh"
 
 namespace klebsim::bench
 {
@@ -94,16 +80,15 @@ struct TrialFailure
 };
 
 /**
- * A persistent worker-thread pool that runs independent trials.
+ * Runs independent trials on up to jobs() host threads.
  *
- * Trials are executed shard-wise off per-participant work-stealing
- * deques (see the file comment); which worker runs which trial is
- * scheduling noise by design, because a trial's result may depend
- * only on its index.  An exception thrown by a trial suppresses the
- * execution of all higher-indexed trials and is rethrown to the
- * caller once every lower-indexed trial has finished — so the
- * rethrown failure is exactly the one a sequential run would have
- * hit first, independent of how shards were stolen.
+ * Trials are executed shard-wise off one atomic cursor (see the
+ * file comment); which thread runs which trial is scheduling noise
+ * by design, because a trial's result may depend only on its index.
+ * An exception thrown by a trial suppresses the execution of all
+ * higher-indexed trials and is rethrown to the caller once every
+ * lower-indexed trial has finished — so the rethrown failure is
+ * exactly the one a sequential run would have hit first.
  *
  * The tryMap()/runIndexedCatching() variants instead survive worker
  * death: a trial that throws is recorded as a TrialFailure and every
@@ -113,20 +98,14 @@ struct TrialFailure
  * this to turn a crashed machine into an explicit hole instead of a
  * lost run.
  *
- * A pool may be reused for any number of runs; one run executes at
- * a time (calls from concurrent threads are serialized by a mutex).
- * Workers are joined in the destructor.
+ * A pool holds no threads between runs and may be reused or shared
+ * by concurrent callers; each run starts and joins its own.
  */
 class TrialPool
 {
   public:
     /** @param jobs worker count; 0 means defaultJobs(). */
     explicit TrialPool(unsigned jobs = 0);
-
-    TrialPool(const TrialPool &) = delete;
-    TrialPool &operator=(const TrialPool &) = delete;
-
-    ~TrialPool();
 
     /** Host parallelism (hardware_concurrency, at least 1). */
     static unsigned defaultJobs();
@@ -191,91 +170,12 @@ class TrialPool
         std::vector<TrialFailure> *failures);
 
   private:
-    /** A contiguous run of trial indices, the unit of stealing. */
-    struct Shard
-    {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-    };
-
-    /**
-     * One participant's shard deque.  The owner pops from the front
-     * (ascending index order); thieves steal from the back (the
-     * indices the owner would reach last).  A plain mutex per deque
-     * keeps the protocol obvious and machine-checkable; the lock is
-     * taken once per shard, not per trial, so it is nowhere near
-     * the trial hot path.
-     */
-    struct ShardDeque
-    {
-        TrackedMutex mutex;
-        std::deque<Shard> shards KLEB_GUARDED_BY(mutex);
-    };
-
-    /** Shared state of the in-flight run. */
-    struct Run
-    {
-        const std::function<void(std::size_t)> *fn = nullptr;
-
-        /** Capture failures instead of suppressing later trials. */
-        bool catching = false;
-
-        /** Shards not yet fully executed (run done at zero). */
-        std::atomic<std::size_t> shardsLeft{0};
-
-        /**
-         * Lowest failing trial index so far; trials at or above it
-         * are suppressed in non-catching mode.  ~0 = no failure.
-         */
-        std::atomic<std::size_t> failureFloor{~std::size_t{0}};
-
-        TrackedMutex failMutex;
-        std::exception_ptr firstError KLEB_GUARDED_BY(failMutex);
-        std::size_t firstTrial KLEB_GUARDED_BY(failMutex) =
-            ~std::size_t{0};
-        std::vector<TrialFailure> failures
-            KLEB_GUARDED_BY(failMutex);
-    };
-
-    /** Dispatch one run across the participants. */
+    /** Dispatch one run across min(jobs, shards) participants. */
     void run(std::size_t count,
              const std::function<void(std::size_t)> &fn,
              std::vector<TrialFailure> *failures, bool catching);
 
-    /** Spawn the persistent workers if not yet running. */
-    void ensureWorkers();
-
-    /** Park/wake loop each persistent worker runs. */
-    void workerLoop(unsigned self);
-
-    /** Pop own shards, then steal, until every deque is empty. */
-    void participate(unsigned self);
-
-    /** Execute one shard's trials under the run's failure rules. */
-    void executeShard(const Shard &shard);
-
     unsigned jobs_;
-
-    /** Worker 0 is the caller; deques_[1..] feed the threads. */
-    std::vector<ShardDeque> deques_;
-    std::vector<std::thread> threads_;
-
-    /** Serializes run() against concurrent callers. */
-    std::mutex runMutex_;
-
-    /** @{ Park/wake signalling (epoch bumps on each new run). */
-    std::mutex wakeMutex_;
-    std::condition_variable wakeCv_;
-    std::uint64_t epoch_ = 0;
-    bool shutdown_ = false;
-    /** @} */
-
-    /** @{ Completion signalling (caller waits for shardsLeft==0). */
-    std::mutex doneMutex_;
-    std::condition_variable doneCv_;
-    /** @} */
-
-    Run job_;
 };
 
 } // namespace klebsim::bench

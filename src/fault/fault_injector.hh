@@ -111,12 +111,12 @@ class FaultInjector
                                kernel::Process *target);
 
     /**
-     * Drain-stall hook implementing controller.hang: starting at
-     * the planned tick, the controller's next drain sleep is
-     * stretched by ~30 simulated seconds — a wedged reader only a
-     * supervisor's heartbeat timeout can detect.  Fires once per
-     * run.  Null when the plan does not hang; compose with
-     * readerStallHook() when both are active.
+     * Hang hook implementing controller.hang: starting at the
+     * planned tick, the controller's next drain sleep wedges it for
+     * ~30 simulated seconds — a wedged reader only a supervisor's
+     * heartbeat timeout can detect.  Fires once per run.  Null when
+     * the plan does not hang.  Plug into
+     * ControllerBehavior::Tuning::hangHook.
      */
     std::function<Tick()> controllerHangHook(kernel::System &sys);
 

@@ -218,6 +218,10 @@ ControllerBehavior::nextOp(kernel::Kernel &kernel,
         state_ = State::drain;
         Tick stall =
             tuning_.drainStallHook ? tuning_.drainStallHook() : 0;
+        if (Tick hang = tuning_.hangHook ? tuning_.hangHook() : 0) {
+            module_->setWakeTarget(nullptr);
+            stall += hang;
+        }
         return Op::makeSleep(tuning_.drainInterval + stall);
       }
 

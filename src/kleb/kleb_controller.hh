@@ -82,6 +82,16 @@ class ControllerBehavior : public kernel::ServiceBehavior
          */
         std::function<Tick()> drainStallHook;
 
+        /**
+         * Fault-injection hook, called after drainStallHook: a
+         * nonzero result wedges the controller for that long on top
+         * of the drain sleep.  A wedged controller no longer waits
+         * on the device, so the module's pause and finish wakes do
+         * not reach it; only a supervisor's heartbeat timeout does.
+         * Null costs nothing.
+         */
+        std::function<Tick()> hangHook;
+
         /** Device re-open + ATTACH prep (reattach mode setup). */
         Tick attachCost = usToTicks(180);
 

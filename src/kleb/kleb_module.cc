@@ -192,7 +192,6 @@ KLebModule::ioctl(kernel::Kernel &kernel, kernel::Process &caller,
         for (PerCpuState &pc : perCpu_)
             pc.ring.reset();
         spill_.clear();
-        arena_.resize(cfg_.bufferCapacity);
         configured_ = true;
         periodChanges_ = 0;
         return 0;
@@ -334,78 +333,39 @@ KLebModule::read(kernel::Kernel &kernel, kernel::Process &caller,
         return 0;
     }
 
-    // Source census: with no spill backlog and at most one
-    // non-empty ring — the steady state of a session that never
-    // migrated or hotplugged — the k-way merge degenerates to a
-    // FIFO drain of that ring and takes the bulk path below.
+    // K-way merge across the spill queue and every core's ring so
+    // the controller sees one globally timestamp-ordered stream.
+    // Ties resolve spill-first, then lowest core id: deterministic.
     std::size_t drained_count = 0;
-    RingBuffer<Sample> *only = nullptr;
-    bool merge_needed = !spill_.empty();
-    if (!merge_needed) {
-        for (PerCpuState &pc : perCpu_) {
-            if (pc.ring && !pc.ring->empty()) {
-                if (only != nullptr) {
-                    merge_needed = true;
-                    only = nullptr;
-                    break;
-                }
-                only = pc.ring.get();
+    while (req->max == 0 || drained_count < req->max) {
+        const Sample *best = nullptr;
+        bool from_spill = false;
+        std::size_t src_core = 0;
+        if (!spill_.empty()) {
+            best = &spill_.front();
+            from_spill = true;
+        }
+        for (std::size_t cpu = 0; cpu < perCpu_.size(); ++cpu) {
+            const auto &ring = perCpu_[cpu].ring;
+            if (ring && !ring->empty() &&
+                (best == nullptr ||
+                 ring->front().timestamp < best->timestamp)) {
+                best = &ring->front();
+                from_spill = false;
+                src_core = cpu;
             }
         }
-    }
-
-    if (!merge_needed && only != nullptr && arena_.capacity() > 0) {
-        // Bulk fast path: stage whole wrapped segments through the
-        // cache-line-aligned arena instead of popping one sample at
-        // a time.  Bytes, order, and kernel-work charges are
-        // identical to the merge path (single-source FIFO == merge
-        // of one source).
-        std::size_t want = only->size();
-        if (req->max != 0 && req->max < want)
-            want = req->max;
-        while (want > 0) {
-            std::size_t pass = std::min(want, arena_.capacity());
-            std::size_t n = only->drainInto(arena_.data(), pass);
-            req->out->insert(req->out->end(), arena_.data(),
-                             arena_.data() + n);
-            drained_count += n;
-            want -= n;
+        if (best == nullptr)
+            break;
+        if (from_spill) {
+            req->out->push_back(spill_.front());
+            spill_.pop_front();
+        } else {
+            Sample s;
+            perCpu_[src_core].ring->pop(s);
+            req->out->push_back(s);
         }
-    } else if (merge_needed) {
-        // K-way merge across the spill queue and every core's ring
-        // so the controller sees one globally timestamp-ordered
-        // stream.  Ties resolve spill-first, then lowest core id:
-        // deterministic.
-        while (req->max == 0 || drained_count < req->max) {
-            const Sample *best = nullptr;
-            bool from_spill = false;
-            std::size_t src_core = 0;
-            if (!spill_.empty()) {
-                best = &spill_.front();
-                from_spill = true;
-            }
-            for (std::size_t cpu = 0; cpu < perCpu_.size(); ++cpu) {
-                const auto &ring = perCpu_[cpu].ring;
-                if (ring && !ring->empty() &&
-                    (best == nullptr ||
-                     ring->front().timestamp < best->timestamp)) {
-                    best = &ring->front();
-                    from_spill = false;
-                    src_core = cpu;
-                }
-            }
-            if (best == nullptr)
-                break;
-            if (from_spill) {
-                req->out->push_back(spill_.front());
-                spill_.pop_front();
-            } else {
-                Sample s;
-                perCpu_[src_core].ring->pop(s);
-                req->out->push_back(s);
-            }
-            ++drained_count;
-        }
+        ++drained_count;
     }
 
     if (drained_count != 0) {
@@ -679,16 +639,14 @@ KLebModule::quiesceCore(CoreId core)
     // Relocate the ring's undrained samples into the spill queue —
     // merged by timestamp so the drain stays globally ordered —
     // then journal the outage marker after them.
-    if (pc.ring && !pc.ring->empty() && arena_.capacity() > 0) {
+    if (pc.ring && !pc.ring->empty()) {
         std::size_t old_size = spill_.size();
-        while (!pc.ring->empty()) {
-            std::size_t n =
-                pc.ring->drainInto(arena_.data(), arena_.capacity());
-            samplesKept_ -= n;
-            samplesMigrated_ += n;
-            spill_.insert(spill_.end(), arena_.data(),
-                          arena_.data() + n);
-        }
+        Sample s;
+        while (pc.ring->pop(s))
+            spill_.push_back(s);
+        std::size_t moved = spill_.size() - old_size;
+        samplesKept_ -= moved;
+        samplesMigrated_ += moved;
         std::inplace_merge(
             spill_.begin(),
             spill_.begin() + static_cast<std::ptrdiff_t>(old_size),

@@ -28,6 +28,13 @@
  * dropped) bracketed by coreOffline/coreOnline marker records, and
  * PMU claims lost to a contending owner degrade monitoring on that
  * core only, with every forfeited window counted.
+ *
+ * read() drains through one k-way merge over the spill queue and
+ * every core's ring, oldest timestamp first (ties: spill queue,
+ * then lowest core id), popping one sample at a time straight into
+ * the controller's vector, at most DrainRequest::max per call.
+ * Hotplug quiesce pops the offlined core's ring straight into the
+ * spill queue.
  */
 
 #ifndef KLEBSIM_KLEB_KLEB_MODULE_HH
@@ -45,15 +52,15 @@
 #include "kernel/kernel.hh"
 #include "kleb_config.hh"
 #include "sample.hh"
-#include "sample_arena.hh"
 
 namespace klebsim::kleb
 {
 
 /**
  * Request structure for read() on /dev/kleb: the controller passes
- * a destination vector; the module fills it and reports whether
- * monitoring has finished.
+ * a destination vector; the module appends up to @p max samples in
+ * timestamp order and reports whether monitoring has finished with
+ * nothing left to drain.
  */
 struct DrainRequest
 {
@@ -219,13 +226,6 @@ class KLebModule : public kernel::KernelModule
      * merged in) so the k-way drain stays globally ordered.
      */
     std::deque<Sample> spill_;
-
-    /**
-     * Cache-line-aligned staging slab for bulk drains (controller
-     * read() fast path, hotplug quiesce relocation), sized to the
-     * ring capacity at CONFIG so no drain ever allocates.
-     */
-    SampleArena arena_;
 
     /**
      * Counts accumulated on cores the target has already left:

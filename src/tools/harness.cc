@@ -143,17 +143,10 @@ runOnce(const RunConfig &cfg)
                 injector->setPeriodFailHook();
             opts.controllerTuning.reprogramHook =
                 injector->reprogramCrashHook(sys);
-            // A hang and a stall can both stretch the drain sleep;
-            // compose the hooks so either plan key works alone.
-            auto stall = injector->readerStallHook();
-            auto hang = injector->controllerHangHook(sys);
-            if (stall && hang)
-                opts.controllerTuning.drainStallHook =
-                    [stall, hang]() { return stall() + hang(); };
-            else if (hang)
-                opts.controllerTuning.drainStallHook = hang;
-            else
-                opts.controllerTuning.drainStallHook = stall;
+            opts.controllerTuning.drainStallHook =
+                injector->readerStallHook();
+            opts.controllerTuning.hangHook =
+                injector->controllerHangHook(sys);
         }
         kleb_session =
             std::make_unique<kleb::Session>(sys, opts);
@@ -226,9 +219,6 @@ runOnce(const RunConfig &cfg)
         result.klebRetries = kleb_session->retries();
         result.klebLoadAttempts = kleb_session->loadAttempts();
         result.supervisor = kleb_session->supervisorStats();
-        if (const kleb::RateGovernor *gov =
-                kleb_session->governor())
-            result.governor = gov->stats();
         if (const kleb::DurableLog *dlog =
                 kleb_session->durableLog()) {
             // Crash recovery runs over a copy of the medium so the

@@ -22,7 +22,6 @@
 #include "kernel/cost_model.hh"
 #include "kleb/kleb_config.hh"
 #include "kleb/log_recovery.hh"
-#include "kleb/rate_governor.hh"
 #include "kleb/supervisor.hh"
 #include "stats/time_series.hh"
 
@@ -192,9 +191,6 @@ struct RunResult
     kleb::SupervisorStats supervisor{};
 
     /** @} */
-
-    /** Governor bookkeeping (zero unless RunConfig::adaptive). */
-    kleb::RateGovernor::Stats governor{};
 
     /** Context switches the kernel performed during the run. */
     std::uint64_t contextSwitches = 0;

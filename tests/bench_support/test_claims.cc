@@ -79,6 +79,21 @@ paretoRows()
     };
 }
 
+/** A slice of both fault benches' grids, with every claim holding. */
+std::vector<FaultRow>
+faultRows()
+{
+    return {
+        {"no faults", "", 0, 0, true},
+        {"crash @ 2.48ms", "controller.crash=2480000000", 1, 1, true},
+        {"hang @ 3.71ms", "controller.hang=3710000000", 1, 1, true},
+        {"crash + bitflips",
+         "controller.crash=4950000000;log.bitflip=4", 5, 1, true},
+        // Not a controller fault: nothing to restart.
+        {"24-bit counters", "pmu.width=24", 1, 0, true},
+    };
+}
+
 } // namespace
 
 TEST(BenchClaims, FleetRowsThatHoldPass)
@@ -134,4 +149,44 @@ TEST(BenchClaims, BudgetBreaksAreNamed)
     EXPECT_EQ(onlyClaim(budgetClaims(rows)),
               "matmul b0.5: count error 2.1100% exceeds best fixed "
               "0.1000% + 2.00 pp");
+}
+
+TEST(BenchClaims, InjectionRowsThatHoldPass)
+{
+    EXPECT_TRUE(injectionClaims(faultRows()).empty());
+}
+
+TEST(BenchClaims, InjectionBreaksAreNamed)
+{
+    std::vector<FaultRow> rows = faultRows();
+    rows[0].injected = 1;
+    EXPECT_EQ(onlyClaim(injectionClaims(rows)),
+              "no faults: the fault-free control injected or "
+              "restarted");
+
+    rows = faultRows();
+    rows[0].restarts = 1;
+    EXPECT_EQ(onlyClaim(injectionClaims(rows)),
+              "no faults: the fault-free control injected or "
+              "restarted");
+
+    rows = faultRows();
+    rows[1].injected = 0;
+    EXPECT_EQ(onlyClaim(injectionClaims(rows)),
+              "crash @ 2.48ms: no fault fired");
+
+    rows = faultRows();
+    rows[4].injected = 0;
+    EXPECT_EQ(onlyClaim(injectionClaims(rows)),
+              "24-bit counters: no fault fired");
+
+    rows = faultRows();
+    rows[2].restarts = 0;
+    EXPECT_EQ(onlyClaim(injectionClaims(rows)),
+              "hang @ 3.71ms: the controller never restarted");
+
+    rows = faultRows();
+    rows[3].balanced = false;
+    EXPECT_EQ(onlyClaim(injectionClaims(rows)),
+              "crash + bitflips: the durable log does not balance");
 }

@@ -109,16 +109,8 @@ runSupervised(const std::string &spec, std::uint64_t seed,
     fastSupervision(opts);
     if (mutate)
         mutate(opts);
-    auto stall = injector.readerStallHook();
-    auto hang = injector.controllerHangHook(sys);
-    if (stall && hang)
-        opts.controllerTuning.drainStallHook = [stall, hang] {
-            return stall() + hang();
-        };
-    else if (hang)
-        opts.controllerTuning.drainStallHook = hang;
-    else if (stall)
-        opts.controllerTuning.drainStallHook = stall;
+    opts.controllerTuning.drainStallHook = injector.readerStallHook();
+    opts.controllerTuning.hangHook = injector.controllerHangHook(sys);
 
     kleb::Session session(sys, opts);
     session.monitor(target);
@@ -300,9 +292,6 @@ TEST(RecoveryChaos, HangDetectedKilledAndRestarted)
     // controller.hang wedges the drain loop without killing the
     // process: only the heartbeat timeout can spot it.  The
     // supervisor must kill and replace the zombie-in-spirit.
-    // The hang fires early so detection (~hang + 2 ms timeout)
-    // lands long before the target exits: the module wakes the
-    // controller on target exit, which would cure the wedge.
     RecoveryOutcome out =
         runSupervised("controller.hang=2ms", 23, nullptr, 60);
 

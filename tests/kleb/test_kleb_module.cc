@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fault/fault_injector.hh"
 #include "kernel/system.hh"
 #include "kleb/kleb_module.hh"
 #include "workload/microbench.hh"
@@ -23,14 +27,19 @@ quietCosts()
     return c;
 }
 
-/** Drives ioctl/read against the module from a service process. */
+/**
+ * Drives ioctl/read against the module from a service process:
+ * CONFIG, START, sleep until the module wakes it at the target's
+ * exit, then read with DrainRequest::max = @p max until the module
+ * reports finished.
+ */
 class ManualController : public ServiceBehavior
 {
   public:
     ManualController(KLebModule *module, KLebConfig cfg,
-                     Process **target_slot)
+                     Process **target_slot, std::size_t max = 0)
         : module_(module), cfg_(std::move(cfg)),
-          targetSlot_(target_slot)
+          targetSlot_(target_slot), max_(max)
     {
     }
 
@@ -55,27 +64,37 @@ class ManualController : public ServiceBehavior
                 });
           case 2:
             return ServiceOp::makeSleep(200_ms); // woken on finish
-          case 3:
+          default:
+            if (finished)
+                return ServiceOp::makeExit();
             return ServiceOp::makeSyscall(
                 [this](Kernel &k, Process &me) {
+                    if (*targetSlot_) {
+                        EXPECT_EQ((*targetSlot_)->state(),
+                                  ProcState::zombie);
+                    }
+                    const std::size_t before = samples.size();
                     DrainRequest req;
                     req.out = &samples;
+                    req.max = max_;
                     long rc = module_->read(k, me, &req, 0);
-                    EXPECT_GE(rc, 0);
+                    EXPECT_EQ(rc,
+                              static_cast<long>(samples.size() - before));
+                    reads.push_back(samples.size() - before);
                     finished = req.finished;
                 });
-          default:
-            return ServiceOp::makeExit();
         }
     }
 
     KLebModule *module_;
     KLebConfig cfg_;
     Process **targetSlot_;
+    std::size_t max_;
     int step_ = 0;
     long configRc = -99;
     long startRc = -99;
     std::vector<Sample> samples;
+    std::vector<std::size_t> reads; //!< samples returned per read
     bool finished = false;
 };
 
@@ -440,4 +459,145 @@ TEST(KLebModule, StatusReflectsLifecycle)
     EXPECT_FALSE(st.monitoring);
     EXPECT_FALSE(st.targetAlive);
     EXPECT_EQ(st.samplesDropped, 0u);
+}
+
+namespace
+{
+
+/** What one runDrain() call drained, and where the module ended. */
+struct DrainRun
+{
+    std::vector<Sample> samples;
+    std::vector<std::size_t> reads;
+    KLebStatus status{};
+};
+
+/**
+ * ~7.5 ms of target work on core 0, sampled every 100 us, with the
+ * controller on core 1 reading at @p max once the target has exited.
+ * @p faults is a fault-plan spec (the hotplug keys of
+ * tests/fault/test_smp_chaos.cc); empty runs fault-free.
+ */
+DrainRun
+runDrain(std::size_t max, const std::string &faults = "")
+{
+    System sys(hw::MachineConfig::corei7_920(), 11, quietCosts());
+    fault::FaultPlan plan;
+    std::string err;
+    EXPECT_TRUE(fault::FaultPlan::parse(faults, &plan, &err)) << err;
+    fault::FaultInjector injector(plan, 11);
+    injector.attach(sys);
+
+    auto module = std::make_unique<KLebModule>();
+    KLebModule *mod = module.get();
+    sys.kernel().loadModule(std::move(module), "/dev/kleb");
+
+    FixedWorkSource src = computeSource(40, 1000000, 2.0);
+    Process *target = sys.kernel().createWorkload("t", &src, 0);
+    KLebConfig cfg;
+    cfg.targetPid = target->pid();
+    cfg.events = {hw::HwEvent::instRetired,
+                  hw::HwEvent::branchRetired};
+    cfg.timerPeriod = 100_us;
+
+    ManualController ctrl(mod, cfg, &target, max);
+    Process *svc = sys.kernel().createService("c", &ctrl, 1);
+    sys.kernel().startProcess(svc);
+    injector.scheduleCpuHotplug(sys);
+    sys.run();
+
+    EXPECT_TRUE(ctrl.finished);
+    return {ctrl.samples, ctrl.reads, mod->status()};
+}
+
+/** Field-by-field equality of two drained logs. */
+void
+expectSameSamples(const std::vector<Sample> &got,
+                  const std::vector<Sample> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "sample " << i);
+        EXPECT_EQ(got[i].timestamp, want[i].timestamp);
+        EXPECT_EQ(got[i].cause, want[i].cause);
+        EXPECT_EQ(got[i].core, want[i].core);
+        EXPECT_EQ(got[i].numEvents, want[i].numEvents);
+        EXPECT_EQ(got[i].counts, want[i].counts);
+    }
+}
+
+/** Every read but the last returned exactly @p max, the last 1..max. */
+void
+expectBoundedReads(const std::vector<std::size_t> &reads,
+                   std::size_t max)
+{
+    ASSERT_FALSE(reads.empty());
+    for (std::size_t r = 0; r + 1 < reads.size(); ++r)
+        EXPECT_EQ(reads[r], max) << "read " << r;
+    EXPECT_GE(reads.back(), 1u);
+    EXPECT_LE(reads.back(), max);
+}
+
+} // namespace
+
+TEST(KLebModule, BoundedReadsMatchOneUnboundedRead)
+{
+    DrainRun bounded = runDrain(3);
+    DrainRun whole = runDrain(0);
+
+    ASSERT_EQ(whole.reads.size(), 1u);
+    EXPECT_GT(whole.samples.size(), 60u);
+    expectBoundedReads(bounded.reads, 3);
+    expectSameSamples(bounded.samples, whole.samples);
+    EXPECT_EQ(bounded.samples.back().cause, SampleCause::final);
+    EXPECT_EQ(bounded.status.pendingSamples, 0u);
+    EXPECT_EQ(whole.status.pendingSamples, 0u);
+}
+
+TEST(KLebModule, BoundedReadsMergeSpillAndRingInTimestampOrder)
+{
+    // Core 0 goes offline at 2 ms: its ring is quiesced into the
+    // spill queue and the target moves on, filling a second core's
+    // ring, so the reads start with samples in the spill queue and
+    // a ring at once.  Core 0 comes back online exactly at one of
+    // the second core's timer samples, which ties the coreOnline
+    // marker (spill queue) with that sample (ring).
+    const std::string offline = "cpu.offline=2ms;cpu.offline.core=0";
+    DrainRun probe = runDrain(0, offline);
+    Tick tie = 0;
+    int seen = 0;
+    for (const Sample &s : probe.samples)
+        if (s.cause == SampleCause::timer && s.core != 0 &&
+            ++seen == 20) {
+            tie = s.timestamp;
+            break;
+        }
+    ASSERT_NE(tie, 0u);
+
+    const std::string faults =
+        offline + ";cpu.online=" + std::to_string(tie);
+    DrainRun bounded = runDrain(3, faults);
+    DrainRun whole = runDrain(0, faults);
+
+    EXPECT_GE(bounded.status.samplesMigrated, 1u);
+    EXPECT_EQ(bounded.status.coreMarkers, 2u);
+    expectBoundedReads(bounded.reads, 3);
+    expectSameSamples(bounded.samples, whole.samples);
+    EXPECT_EQ(bounded.status.pendingSamples, 0u);
+
+    for (std::size_t i = 1; i < bounded.samples.size(); ++i)
+        EXPECT_LE(bounded.samples[i - 1].timestamp,
+                  bounded.samples[i].timestamp)
+            << "sample " << i;
+
+    // On the tie the spill queue's marker drains first.
+    std::size_t at = 0;
+    while (at < bounded.samples.size() &&
+           bounded.samples[at].timestamp != tie)
+        ++at;
+    ASSERT_LT(at + 1, bounded.samples.size());
+    EXPECT_EQ(bounded.samples[at].cause, SampleCause::coreOnline);
+    EXPECT_EQ(bounded.samples[at + 1].timestamp, tie);
+    EXPECT_EQ(bounded.samples[at + 1].cause, SampleCause::timer);
+    EXPECT_NE(bounded.samples[at + 1].core, 0u);
 }

@@ -20,8 +20,7 @@
 
 #include "bench_util.hh"
 #include "claims.hh"
-#include "tools/harness.hh"
-#include "workload/matmul.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
@@ -39,32 +38,6 @@ struct Row
     Tick period;           //!< fixed period / adaptive start
     double budget;         //!< overhead budget fraction (adaptive)
 };
-
-RunConfig
-baseConfig(const char *workload, bool quick)
-{
-    RunConfig cfg;
-    std::uint32_t n = quick ? 640 : 1000;
-    double flops = workload::matmulFlops({n});
-    if (std::string(workload) == "mkl") {
-        cfg.expectedInstructions =
-            static_cast<std::uint64_t>(flops / 5.33 * 2.0);
-        cfg.expectedLifetime =
-            quick ? msToTicks(35) : msToTicks(120);
-        cfg.workloadFactory = [n](Addr base, Random rng) {
-            return workload::makeMatMulMkl({n}, base, rng);
-        };
-    } else {
-        cfg.expectedInstructions =
-            static_cast<std::uint64_t>(flops / 2.0 * 8.0);
-        cfg.expectedLifetime =
-            quick ? msToTicks(650) : secToTicks(2.45);
-        cfg.workloadFactory = [n](Addr base, Random rng) {
-            return workload::makeMatMulLoop({n}, base, rng);
-        };
-    }
-    return cfg;
-}
 
 const std::vector<Row> &
 rows()
@@ -91,7 +64,9 @@ rows()
 RunConfig
 rowConfig(const Row &row, bool quick)
 {
-    RunConfig cfg = baseConfig(row.workload, quick);
+    RunConfig cfg = std::string(row.workload) == "mkl"
+                        ? experiments::table3Config(quick)
+                        : experiments::table2Config(quick);
     if (std::string(row.mode) == "baseline") {
         cfg.tool = ToolKind::none;
         return cfg;
@@ -131,54 +106,39 @@ main(int argc, char **argv)
     banner("Ablation: adaptive-sampling overhead budget Pareto (" +
            std::to_string(runs) + " runs/config)");
 
-    // One (row, trial) grid on independent simulated machines; the
-    // extra fixed-seed trial per row is the probe the accuracy /
-    // samples / period columns read.
-    const std::size_t per_row =
-        static_cast<std::size_t>(runs) + 1;
-    std::vector<RunResult> results = runTrials(
-        args.jobs, grid.size() * per_row, [&](std::size_t k) {
-            const Row &row = grid[k / per_row];
-            RunConfig cfg = rowConfig(row, args.quick);
-            std::size_t trial = k % per_row;
-            cfg.seed =
-                trial == static_cast<std::size_t>(runs)
-                    ? 1
-                    : trialSeed(cfg.seed, k / per_row, trial);
-            return runOnce(cfg);
-        });
-
-    // Per-workload baseline means, for the overhead column.
-    std::vector<double> base_mean(grid.size(), 0.0);
-    auto mean_secs = [&](std::size_t row_idx) {
-        double sum = 0;
-        for (int i = 0; i < runs; ++i)
-            sum += results[row_idx * per_row +
-                           static_cast<std::size_t>(i)]
-                       .seconds;
-        return sum / static_cast<double>(runs);
-    };
-    double current_base = 0.0;
+    // One (row, trial) grid on independent simulated machines,
+    // salted by the row; the extra fixed-seed trial per row is the
+    // probe the accuracy / samples / period columns read.
+    std::vector<RunConfig> cells;
+    std::vector<std::uint64_t> salts;
     for (std::size_t r = 0; r < grid.size(); ++r) {
-        if (std::string(grid[r].mode) == "baseline")
-            current_base = mean_secs(r);
-        base_mean[r] = current_base;
+        cells.push_back(rowConfig(grid[r], args.quick));
+        salts.push_back(r);
     }
+    const auto results =
+        experiments::runGrid(cells, salts, runs, true, args.jobs);
 
     Table table({"workload", "mode", "config", "budget_pct",
                  "overhead_pct", "accuracy_err_pct", "samples",
                  "period_changes", "final_period_us", "mean_s"});
     std::vector<ParetoRow> pareto;
+    // Each workload's baseline row comes first and sets the mean
+    // its other rows' overheads are measured against.
+    double base_mean = 0.0;
     for (std::size_t r = 0; r < grid.size(); ++r) {
         const Row &row = grid[r];
-        double mean = mean_secs(r);
-        const RunResult &probe =
-            results[r * per_row + static_cast<std::size_t>(runs)];
+        double mean = 0;
+        for (double s : experiments::supportedSeconds(results[r], runs))
+            mean += s;
+        mean /= static_cast<double>(runs);
+        bool is_base = std::string(row.mode) == "baseline";
+        if (is_base)
+            base_mean = mean;
+        const RunResult &probe = results[r].back();
         ParetoRow p{row.workload, row.mode, row.config,
                     row.budget * 100.0,
-                    (mean - base_mean[r]) / base_mean[r] * 100.0,
+                    (mean - base_mean) / base_mean * 100.0,
                     accuracyErrPct(probe)};
-        bool is_base = p.mode == "baseline";
         double final_us =
             static_cast<double>(probe.klebStatus.currentPeriod) /
             1e6;

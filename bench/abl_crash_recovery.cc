@@ -144,9 +144,7 @@ main(int argc, char **argv)
 
     std::printf("\nShape check: every row balances (kept + dropped "
                 "+ vanished = emitted); the fault-free row shows "
-                "zero restarts and zero gap; crash rows recover "
-                "both the pre-crash and post-restart epochs with "
-                "one gap covering the outage; torn tails and "
+                "zero restarts and zero gap; torn tails and "
                 "bitflips shrink 'Kept', never the balance.\n");
     return reportClaims(injectionClaims(rows));
 }

@@ -9,15 +9,12 @@
  */
 
 #include <cstdio>
-#include <iterator>
 
 #include "bench_util.hh"
-#include "tools/harness.hh"
-#include "workload/matmul.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
-using namespace klebsim::tools;
 
 int
 main(int argc, char **argv)
@@ -25,81 +22,17 @@ main(int argc, char **argv)
     BenchArgs args = BenchArgs::parse(argc, argv);
     int runs = args.runsOr(args.quick ? 2 : 5);
 
-    RunConfig cfg;
-    std::uint32_t n = args.quick ? 500 : 800;
-    cfg.expectedInstructions = static_cast<std::uint64_t>(
-        workload::matmulFlops({n}) / 2.0 * 8.0);
-    cfg.workloadFactory = [n](Addr base, Random rng) {
-        return workload::makeMatMulLoop({n}, base, rng);
-    };
-
     banner("Ablation: K-LEB overhead vs sampling period "
            "(matmul loop)");
 
-    const Tick periods[] = {
-        usToTicks(25),  usToTicks(50),  usToTicks(100),
-        usToTicks(250), usToTicks(500), msToTicks(1),
-        msToTicks(10),  msToTicks(100)};
-    const std::size_t n_periods = std::size(periods);
-
-    // Flatten baseline runs, per-period runs, and the per-period
-    // fixed-seed probes into one independent-trial grid.
-    const auto n_runs = static_cast<std::size_t>(runs);
-    std::vector<RunConfig> grid;
-    for (std::size_t i = 0; i < n_runs; ++i) {
-        RunConfig c = cfg;
-        c.tool = ToolKind::none;
-        c.seed = trialSeed(
-            cfg.seed, static_cast<std::uint64_t>(c.tool), i);
-        grid.push_back(c);
-    }
-    for (std::size_t p = 0; p < n_periods; ++p) {
-        for (std::size_t i = 0; i <= n_runs; ++i) {
-            RunConfig c = cfg;
-            c.tool = ToolKind::kleb;
-            c.period = periods[p];
-            // Trial n_runs is the fixed-seed probe run.
-            c.seed = i == n_runs
-                         ? 1
-                         : trialSeed(cfg.seed,
-                                     static_cast<std::uint64_t>(
-                                         c.tool),
-                                     i);
-            grid.push_back(c);
-        }
-    }
-    std::vector<RunResult> results = runTrials(
-        args.jobs, grid.size(),
-        [&](std::size_t k) { return runOnce(grid[k]); });
-
-    std::vector<double> baseline;
-    for (std::size_t i = 0; i < n_runs; ++i)
-        baseline.push_back(results[i].seconds);
-
     Table table({"Period", "Overhead (%)", "Samples",
                  "Per-sample cost (us)"});
-    for (std::size_t p = 0; p < n_periods; ++p) {
-        Tick period = periods[p];
-        std::size_t base_idx = n_runs + p * (n_runs + 1);
-        std::vector<double> secs;
-        for (std::size_t i = 0; i < n_runs; ++i)
-            secs.push_back(results[base_idx + i].seconds);
-        double overhead = overheadPct(secs, baseline);
-        const RunResult &probe = results[base_idx + n_runs];
-        double base_mean = 0;
-        for (double s : baseline)
-            base_mean += s;
-        base_mean /= static_cast<double>(baseline.size());
-        double per_sample_us =
-            probe.samples
-                ? (overhead / 100.0) * base_mean * 1e6 /
-                      static_cast<double>(probe.samples)
-                : 0.0;
-        table.addRow({csprintf("%8.0f us", ticksToUs(period)),
-                      toFixed(overhead, 3),
-                      std::to_string(probe.samples),
-                      toFixed(per_sample_us, 2)});
-    }
+    for (const experiments::PeriodRow &row :
+         experiments::timerSweep(args.quick, runs, args.jobs))
+        table.addRow({csprintf("%8.0f us", ticksToUs(row.period)),
+                      toFixed(row.overheadPct, 3),
+                      std::to_string(row.samples),
+                      toFixed(row.perSampleUs, 2)});
     table.print();
     std::printf("\nShape check (paper section VI): overhead grows "
                 "sharply below the 100 us recommendation and "

@@ -16,6 +16,7 @@
 #ifndef KLEBSIM_BENCH_BENCH_UTIL_HH
 #define KLEBSIM_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -171,6 +172,28 @@ class Table
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
 };
+
+/**
+ * @p v drawn as @p cols glyphs: each column sums its share of the
+ * samples, on a ten-step scale against the fullest column (at
+ * least 1).
+ */
+inline std::string
+sparkline(const std::vector<double> &v, std::size_t cols)
+{
+    std::vector<double> bucket(cols, 0.0);
+    double peak = 1.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        double &b = bucket[i * cols / v.size()];
+        b += v[i];
+        peak = std::max(peak, b);
+    }
+    static const char *glyphs = " .:-=+*#%@";
+    std::string line;
+    for (double b : bucket)
+        line += glyphs[static_cast<int>(b / peak * 9.0)];
+    return line;
+}
 
 /** Banner for a bench section. */
 inline void

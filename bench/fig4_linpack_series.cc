@@ -66,29 +66,10 @@ main(int argc, char **argv)
     std::printf("samples: %zu, interval: %.1f us\n\n",
                 deltas.size(), deltas.meanInterval() / 1.0e6);
 
-    // Compact rendering: bucket the series into 60 columns and
-    // print per-event sparklines plus the raw head of the series.
-    auto sparkline = [&](const std::vector<double> &v,
-                         const char *name) {
-        const int cols = 60;
-        std::vector<double> bucket(cols, 0.0);
-        double peak = 1.0;
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            int b = static_cast<int>(i * cols / v.size());
-            bucket[b] += v[i];
-            peak = std::max(peak, bucket[b]);
-        }
-        static const char *glyphs = " .:-=+*#%@";
-        std::string line;
-        for (int b = 0; b < cols; ++b) {
-            int g = static_cast<int>(bucket[b] / peak * 9.0);
-            line += glyphs[g];
-        }
-        std::printf("%-10s |%s|\n", name, line.c_str());
-    };
-    sparkline(muls, "ARITH_MUL");
-    sparkline(loads, "LOAD");
-    sparkline(stores, "STORE");
+    // Compact rendering: per-event sparklines of the series.
+    std::printf("%-10s |%s|\n", "ARITH_MUL", sparkline(muls, 60).c_str());
+    std::printf("%-10s |%s|\n", "LOAD", sparkline(loads, 60).c_str());
+    std::printf("%-10s |%s|\n", "STORE", sparkline(stores, 60).c_str());
 
     // Landmarks the paper calls out: (1) near-zero user counts in
     // the first samples (kernel-mode init); (2) a LOAD/STORE surge

@@ -16,55 +16,15 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "stats/time_series.hh"
-#include "workload/docker.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
-using namespace klebsim::ticks_literals;
-
-namespace
-{
-
-double
-measureImage(const hw::MachineConfig &machine,
-             const workload::DockerImageSpec &spec,
-             std::uint64_t instructions, std::uint64_t seed)
-{
-    kernel::System sys(machine, seed);
-    workload::DockerImageSpec scaled = spec;
-    scaled.instructions = instructions;
-    auto container = workload::launchContainer(
-        sys.kernel(), scaled, 0, 0x200000000ULL,
-        sys.forkRng(seed));
-
-    kleb::Session::Options opts;
-    opts.events = {hw::HwEvent::instRetired, hw::HwEvent::llcMiss,
-                   hw::HwEvent::llcReference};
-    opts.period = 1_ms;
-    opts.controllerCore = 1;
-    kleb::Session session(sys, opts);
-    // Monitor the shim PID; the entrypoint is traced as its child.
-    session.monitor(container->shim, false);
-    sys.run();
-
-    hw::EventVector totals = session.finalTotals();
-    return stats::mpki(
-        static_cast<double>(at(totals, hw::HwEvent::llcMiss)),
-        static_cast<double>(
-            at(totals, hw::HwEvent::instRetired)));
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
-    std::uint64_t instructions =
-        args.quick ? 60000000ULL : 400000000ULL;
 
     banner("Fig. 5: Docker image LLC MPKI via K-LEB "
            "(containerized, multi-PID traced)");
@@ -76,33 +36,19 @@ main(int argc, char **argv)
     std::vector<std::pair<std::string, double>> xeon_order;
     bool all_classes_match = true;
 
-    // Each (image, machine) measurement is an independent simulated
-    // machine; fan the whole catalog out across worker threads.
-    const auto &catalog = workload::dockerCatalog();
-    std::vector<double> mpki = runTrials(
-        args.jobs, catalog.size() * 2, [&](std::size_t k) {
-            const auto &spec = catalog[k / 2];
-            const hw::MachineConfig machine =
-                k % 2 == 0 ? hw::MachineConfig::corei7_920()
-                           : hw::MachineConfig::xeon8259cl();
-            return measureImage(machine, spec, instructions, 7);
-        });
-
-    for (std::size_t s = 0; s < catalog.size(); ++s) {
-        const auto &spec = catalog[s];
-        double mpki_i7 = mpki[s * 2];
-        double mpki_xeon = mpki[s * 2 + 1];
+    for (const experiments::ImageRow &row :
+         experiments::fig5(args.quick, args.jobs)) {
         bool memory_intensive =
-            mpki_i7 > workload::memoryIntensiveMpki;
-        if (memory_intensive != spec.expectMemoryIntensive)
+            row.mpkiI7 > workload::memoryIntensiveMpki;
+        if (memory_intensive != row.expectMemoryIntensive)
             all_classes_match = false;
-        i7_order.emplace_back(spec.name, mpki_i7);
-        xeon_order.emplace_back(spec.name, mpki_xeon);
-        table.addRow({spec.name, toFixed(mpki_i7, 2),
-                      toFixed(mpki_xeon, 2),
+        i7_order.emplace_back(row.name, row.mpkiI7);
+        xeon_order.emplace_back(row.name, row.mpkiXeon);
+        table.addRow({row.name, toFixed(row.mpkiI7, 2),
+                      toFixed(row.mpkiXeon, 2),
                       memory_intensive ? "memory-intensive"
                                        : "computation-intensive",
-                      spec.expectMemoryIntensive
+                      row.expectMemoryIntensive
                           ? "memory-intensive"
                           : "computation-intensive"});
     }

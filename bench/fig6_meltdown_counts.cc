@@ -11,106 +11,10 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "stats/time_series.hh"
-#include "workload/meltdown.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
-using namespace klebsim::ticks_literals;
-
-namespace
-{
-
-struct Averages
-{
-    double llcRef = 0;
-    double llcMiss = 0;
-    double mpki = 0;
-    double ms = 0;
-    std::size_t samples = 0;
-};
-
-/** One independent round on a fresh machine. */
-Averages
-measureRound(bool with_attack, std::uint64_t round,
-             std::uint32_t retries)
-{
-    Averages avg;
-    {
-        kernel::System sys(hw::MachineConfig::corei7_920(),
-                           trialSeed(100, with_attack ? 1 : 0,
-                                     round));
-        std::unique_ptr<workload::PhaseWorkload> printer;
-        std::unique_ptr<workload::MeltdownWorkload> attack;
-        hw::WorkSource *src = nullptr;
-        if (with_attack) {
-            workload::MeltdownParams params;
-            params.retriesPerByte = retries;
-            attack = std::make_unique<workload::MeltdownWorkload>(
-                params, 0x300000000ULL, sys.forkRng(9));
-            src = attack.get();
-        } else {
-            printer = workload::makeSecretPrinter(
-                0x300000000ULL, sys.forkRng(9));
-            src = printer.get();
-        }
-        kernel::Process *target =
-            sys.kernel().createWorkload("victim", src, 0);
-
-        kleb::Session::Options opts;
-        opts.events = {hw::HwEvent::instRetired,
-                       hw::HwEvent::llcReference,
-                       hw::HwEvent::llcMiss};
-        opts.period = 100_us;
-        opts.controllerCore = 1;
-        kleb::Session session(sys, opts);
-        session.monitor(target);
-        sys.run();
-
-        hw::EventVector totals = session.finalTotals();
-        avg.llcRef += static_cast<double>(
-            at(totals, hw::HwEvent::llcReference));
-        avg.llcMiss += static_cast<double>(
-            at(totals, hw::HwEvent::llcMiss));
-        avg.mpki += stats::mpki(
-            static_cast<double>(at(totals, hw::HwEvent::llcMiss)),
-            static_cast<double>(
-                at(totals, hw::HwEvent::instRetired)));
-        avg.ms += ticksToMs(target->lifetime());
-        avg.samples += session.samples().size();
-    }
-    return avg;
-}
-
-/** Average @p rounds independent rounds, fanned across workers. */
-Averages
-measure(bool with_attack, int rounds, std::uint32_t retries,
-        unsigned jobs)
-{
-    std::vector<Averages> per_round = runTrials(
-        jobs, static_cast<std::size_t>(rounds),
-        [&](std::size_t round) {
-            return measureRound(with_attack, round, retries);
-        });
-    Averages avg;
-    for (const Averages &r : per_round) {
-        avg.llcRef += r.llcRef;
-        avg.llcMiss += r.llcMiss;
-        avg.mpki += r.mpki;
-        avg.ms += r.ms;
-        avg.samples += r.samples;
-    }
-    avg.llcRef /= rounds;
-    avg.llcMiss /= rounds;
-    avg.mpki /= rounds;
-    avg.ms /= rounds;
-    avg.samples /= static_cast<std::size_t>(rounds);
-    return avg;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -118,14 +22,13 @@ main(int argc, char **argv)
     BenchArgs args = BenchArgs::parse(argc, argv);
     // The paper averaged 100 program rounds.
     int rounds = args.runsOr(args.quick ? 5 : 100);
-    std::uint32_t retries = args.quick ? 40 : 65;
 
     banner(csprintf("Fig. 6: Meltdown vs clean program, averaged "
                     "over %d rounds (K-LEB @ 100 us)",
                     rounds));
 
-    Averages clean = measure(false, rounds, retries, args.jobs);
-    Averages attacked = measure(true, rounds, retries, args.jobs);
+    const auto [clean, attacked] =
+        experiments::fig6(args.quick, rounds, args.jobs);
 
     Table table({"Program", "LLC refs", "LLC misses", "MPKI",
                  "Runtime (ms)", "Samples"});

@@ -12,83 +12,20 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "stats/time_series.hh"
+#include "experiments/experiments.hh"
 #include "tools/perf.hh"
-#include "workload/meltdown.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
-using namespace klebsim::ticks_literals;
 
 namespace
 {
 
-struct SeriesResult
-{
-    stats::TimeSeries deltas{std::vector<std::string>{"x"}};
-    Tick lifetime = 0;
-    std::string recovered;
-};
-
-SeriesResult
-runVictim(bool with_attack, std::uint32_t retries)
-{
-    kernel::System sys(hw::MachineConfig::corei7_920(), 77);
-    std::unique_ptr<workload::PhaseWorkload> printer;
-    std::unique_ptr<workload::MeltdownWorkload> attack;
-    hw::WorkSource *src = nullptr;
-    if (with_attack) {
-        workload::MeltdownParams params;
-        params.retriesPerByte = retries;
-        attack = std::make_unique<workload::MeltdownWorkload>(
-            params, 0x300000000ULL, sys.forkRng(9));
-        src = attack.get();
-    } else {
-        printer = workload::makeSecretPrinter(0x300000000ULL,
-                                              sys.forkRng(9));
-        src = printer.get();
-    }
-    kernel::Process *target =
-        sys.kernel().createWorkload("victim", src, 0);
-
-    kleb::Session::Options opts;
-    opts.events = {hw::HwEvent::instRetired,
-                   hw::HwEvent::llcReference, hw::HwEvent::llcMiss};
-    opts.period = 100_us;
-    opts.controllerCore = 1;
-    kleb::Session session(sys, opts);
-    session.monitor(target);
-    sys.run();
-
-    SeriesResult out;
-    out.deltas = session.deltaSeries();
-    out.lifetime = target->lifetime();
-    if (attack)
-        out.recovered = attack->recoveredSecret();
-    return out;
-}
-
 void
-printSeries(const char *name, const SeriesResult &res)
+printSeries(const char *name, const experiments::VictimRun &res)
 {
     auto misses = res.deltas.channel("LLC_MISSES");
     auto refs = res.deltas.channel("LLC_REFERENCE");
-    const int cols = 64;
-    std::vector<double> bucket(cols, 0.0);
-    double peak = 1.0;
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-        int b = static_cast<int>(i * cols /
-                                 std::max<std::size_t>(
-                                     misses.size(), 1));
-        bucket[b] += misses[i];
-        peak = std::max(peak, bucket[b]);
-    }
-    static const char *glyphs = " .:-=+*#%@";
-    std::string line;
-    for (int b = 0; b < cols; ++b)
-        line += glyphs[static_cast<int>(bucket[b] / peak * 9.0)];
     double total_refs = 0, total_misses = 0;
     for (double v : refs)
         total_refs += v;
@@ -97,7 +34,7 @@ printSeries(const char *name, const SeriesResult &res)
     std::printf("%-18s %4zu samples, %6.2f ms | LLC miss series "
                 "|%s|\n",
                 name, misses.size(), ticksToMs(res.lifetime),
-                line.c_str());
+                sparkline(misses, 64).c_str());
     std::printf("%-18s refs=%.0f misses=%.0f miss/ref=%.2f\n", "",
                 total_refs, total_misses,
                 total_misses / std::max(total_refs, 1.0));
@@ -109,17 +46,10 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
-    std::uint32_t retries = args.quick ? 30 : 65;
 
     banner("Fig. 7: Meltdown vs non-Meltdown via K-LEB @ 100 us");
 
-    // The clean and attacked victims run on independent machines.
-    std::vector<SeriesResult> victims = runTrials(
-        args.jobs, 2, [&](std::size_t k) {
-            return runVictim(k == 1, retries);
-        });
-    SeriesResult clean = std::move(victims[0]);
-    SeriesResult attacked = std::move(victims[1]);
+    const auto [clean, attacked] = experiments::fig7(args.quick, args.jobs);
 
     printSeries("without Meltdown", clean);
     printSeries("with Meltdown", attacked);

@@ -8,12 +8,11 @@
  * monitored process least and most consistently.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "stats/summary.hh"
-#include "tools/harness.hh"
-#include "workload/matmul.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
@@ -25,76 +24,26 @@ main(int argc, char **argv)
     BenchArgs args = BenchArgs::parse(argc, argv);
     int runs = args.runsOr(args.quick ? 5 : 20);
 
-    RunConfig cfg;
-    cfg.period = msToTicks(10);
-    std::uint32_t n = args.quick ? 500 : 1000;
-    cfg.expectedInstructions = static_cast<std::uint64_t>(
-        workload::matmulFlops({n}) / 2.0 * 8.0);
-    cfg.expectedLifetime =
-        args.quick ? msToTicks(310) : secToTicks(2.45);
-    cfg.workloadFactory = [n](Addr base, Random rng) {
-        return workload::makeMatMulLoop({n}, base, rng);
-    };
-
     banner(csprintf("Fig. 8: normalized execution-time spread, "
                     "matmul loop, %d runs/tool",
                     runs));
-
-    // Fan the full (tool, trial) grid out across worker threads.
-    const std::vector<ToolKind> &tools = allTools();
-    const auto n_runs = static_cast<std::size_t>(runs);
-    std::vector<RunResult> results = runTrials(
-        args.jobs, tools.size() * n_runs, [&](std::size_t k) {
-            RunConfig trial_cfg = cfg;
-            trial_cfg.tool = tools[k / n_runs];
-            trial_cfg.seed = trialSeed(
-                cfg.seed,
-                static_cast<std::uint64_t>(trial_cfg.tool),
-                k % n_runs);
-            return runOnce(trial_cfg);
-        });
-    auto tool_secs = [&](std::size_t t) {
-        std::vector<double> secs;
-        for (std::size_t i = 0; i < n_runs; ++i) {
-            const RunResult &r = results[t * n_runs + i];
-            if (r.supported)
-                secs.push_back(r.seconds);
-        }
-        if (secs.size() != n_runs)
-            secs.clear();
-        return secs;
-    };
-
-    // Normalize against the baseline mean.
-    std::vector<double> baseline = tool_secs(0);
-    double base_mean = 0;
-    for (double s : baseline)
-        base_mean += s;
-    base_mean /= static_cast<double>(baseline.size());
 
     Table table({"Tool", "Min", "Q1", "Median", "Q3", "Max",
                  "IQR", "Whisker span"});
     double kleb_iqr = -1;
     double min_other_iqr = 1e300;
-
-    for (std::size_t t = 0; t < tools.size(); ++t) {
-        ToolKind tool = tools[t];
-        std::vector<double> secs =
-            tool == ToolKind::none ? baseline : tool_secs(t);
-        if (secs.empty()) {
-            table.addRow({toolName(tool), "n/a"});
+    for (const experiments::SpreadRow &row :
+         experiments::fig8(args.quick, runs, args.jobs)) {
+        if (!row.box) {
+            table.addRow({toolName(row.tool), "n/a"});
             continue;
         }
-        std::vector<double> normalized;
-        normalized.reserve(secs.size());
-        for (double s : secs)
-            normalized.push_back(s / base_mean);
-        stats::FiveNumber f = stats::fiveNumber(normalized);
-        if (tool == ToolKind::kleb)
+        const stats::FiveNumber &f = *row.box;
+        if (row.tool == ToolKind::kleb)
             kleb_iqr = f.iqr();
-        else if (tool != ToolKind::none)
+        else if (row.tool != ToolKind::none)
             min_other_iqr = std::min(min_other_iqr, f.iqr());
-        table.addRow({toolName(tool), toFixed(f.min, 4),
+        table.addRow({toolName(row.tool), toFixed(f.min, 4),
                       toFixed(f.q1, 4), toFixed(f.median, 4),
                       toFixed(f.q3, 4), toFixed(f.max, 4),
                       toFixed(f.iqr(), 4), toFixed(f.range(), 4)});

@@ -15,8 +15,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "tools/harness.hh"
-#include "workload/linpack.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
@@ -35,64 +34,22 @@ main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     int runs = args.runsOr(args.quick ? 2 : 10);
-
-    workload::LinpackParams params;
-    params.n = args.quick ? 600 : 1200;
-    params.trials = args.quick ? 3 : 10;
-
-    RunConfig cfg;
-    cfg.period = msToTicks(10);
-    cfg.expectedLifetime =
-        args.quick ? msToTicks(40) : msToTicks(330);
-    cfg.expectedInstructions = static_cast<std::uint64_t>(
-        workload::linpackFlops(params) / 10.0);
-    cfg.events = {hw::HwEvent::arithMul, hw::HwEvent::loadRetired,
-                  hw::HwEvent::storeRetired,
-                  hw::HwEvent::instRetired};
-    cfg.workloadFactory = [&params](Addr base, Random rng) {
-        return workload::makeLinpack(params, base, rng);
-    };
+    const workload::LinpackParams params =
+        experiments::table1Params(args.quick);
 
     banner(csprintf("Table I: LINPACK (N=%u, %u trials) GFLOPS "
                     "across profiling tools, %d runs each",
                     params.n, params.trials, runs));
 
-    // The paper's Table I covers none / K-LEB / perf stat / record.
-    const std::vector<ToolKind> tools = {
-        ToolKind::none, ToolKind::kleb, ToolKind::perfStat,
-        ToolKind::perfRecord};
-
-    // Fan the full (tool, trial) grid out across worker threads.
-    const auto n_runs = static_cast<std::size_t>(runs);
-    std::vector<RunResult> results = runTrials(
-        args.jobs, tools.size() * n_runs, [&](std::size_t k) {
-            RunConfig trial_cfg = cfg;
-            trial_cfg.tool = tools[k / n_runs];
-            trial_cfg.seed = trialSeed(
-                1, static_cast<std::uint64_t>(trial_cfg.tool),
-                k % n_runs);
-            return runOnce(trial_cfg);
-        });
-
-    double raw_gflops = 0;
     Table table({"Profiling Tool", "GFLOPS", "Perf loss (%)",
                  "Paper GFLOPS", "Paper loss (%)"});
-    for (std::size_t t = 0; t < tools.size(); ++t) {
-        double mean_gflops = 0;
-        for (std::size_t i = 0; i < n_runs; ++i) {
-            const RunResult &r = results[t * n_runs + i];
-            mean_gflops +=
-                workload::linpackGflops(params, r.lifetime);
-        }
-        mean_gflops /= runs;
-        if (tools[t] == ToolKind::none)
-            raw_gflops = mean_gflops;
-        double loss =
-            (raw_gflops - mean_gflops) / raw_gflops * 100.0;
-        table.addRow({toolName(tools[t]), toFixed(mean_gflops, 2),
-                      tools[t] == ToolKind::none
+    const auto rows = experiments::table1(args.quick, runs, args.jobs);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+        const experiments::GflopsRow &row = rows[t];
+        table.addRow({toolName(row.tool), toFixed(row.gflops, 2),
+                      row.tool == ToolKind::none
                           ? "0"
-                          : toFixed(loss, 2),
+                          : toFixed(row.lossPct, 2),
                       toFixed(paperGflops[t], 2),
                       toFixed(paperLoss[t], 2)});
     }

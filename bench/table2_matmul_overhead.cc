@@ -9,12 +9,11 @@
  *   best tool.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "stats/summary.hh"
-#include "tools/harness.hh"
-#include "workload/matmul.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
@@ -22,23 +21,6 @@ using namespace klebsim::tools;
 
 namespace
 {
-
-RunConfig
-makeConfig(bool quick)
-{
-    RunConfig cfg;
-    cfg.period = msToTicks(10);
-    std::uint32_t n = quick ? 640 : 1000;
-    double flops = workload::matmulFlops({n});
-    cfg.expectedInstructions =
-        static_cast<std::uint64_t>(flops / 2.0 * 8.0);
-    cfg.expectedLifetime =
-        quick ? msToTicks(650) : secToTicks(2.45);
-    cfg.workloadFactory = [n](Addr base, Random rng) {
-        return workload::makeMatMulLoop({n}, base, rng);
-    };
-    return cfg;
-}
 
 /** Paper reference overheads, in table order after baseline. */
 constexpr double paperOverhead[] = {0.0, 0.68, 6.01, 1.65, 6.43,
@@ -51,76 +33,30 @@ main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     int runs = args.runsOr(args.quick ? 3 : 15);
-    RunConfig cfg = makeConfig(args.quick);
 
     banner("Table II: triple-nested-loop matmul overhead @ 10 ms "
            "(" + std::to_string(runs) + " runs/tool)");
 
-    // Every (tool, trial) cell is an independent simulated machine:
-    // fan the whole table out at once.  The last trial per tool is
-    // the fixed-seed probe run the Samples column reports.
-    const std::vector<ToolKind> &tools = allTools();
-    const std::size_t per_tool =
-        static_cast<std::size_t>(runs) + 1;
-    std::vector<RunResult> results = runTrials(
-        args.jobs, tools.size() * per_tool, [&](std::size_t k) {
-            RunConfig trial_cfg = cfg;
-            trial_cfg.tool = tools[k / per_tool];
-            std::size_t trial = k % per_tool;
-            trial_cfg.seed =
-                trial == static_cast<std::size_t>(runs)
-                    ? 1
-                    : trialSeed(cfg.seed,
-                                static_cast<std::uint64_t>(
-                                    trial_cfg.tool),
-                                trial);
-            return runOnce(trial_cfg);
-        });
-
-    std::vector<double> baseline;
     Table table({"Profiling Tool", "Mean time (s)", "Overhead (%)",
                  "Paper (%)", "Samples"});
-    std::size_t tool_idx = 0;
     double kleb_overhead = 0, best_other = 1e9;
-
-    for (ToolKind tool : tools) {
-        std::vector<double> secs;
-        for (int i = 0; i < runs; ++i) {
-            const RunResult &r =
-                results[tool_idx * per_tool +
-                        static_cast<std::size_t>(i)];
-            if (r.supported)
-                secs.push_back(r.seconds);
-        }
-        if (secs.size() != static_cast<std::size_t>(runs)) {
-            table.addRow({toolName(tool), "n/a", "n/a", "-", "-"});
-            ++tool_idx;
+    const auto rows = experiments::table2(args.quick, runs, args.jobs);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+        const experiments::OverheadRow &row = rows[t];
+        if (!row.supported) {
+            table.addRow({toolName(row.tool), "n/a", "n/a", "-", "-"});
             continue;
         }
-        if (tool == ToolKind::none)
-            baseline = secs;
-        double mean = 0;
-        for (double s : secs)
-            mean += s;
-        mean /= static_cast<double>(secs.size());
-        double overhead =
-            tool == ToolKind::none
-                ? 0.0
-                : overheadPct(secs, baseline);
-        if (tool == ToolKind::kleb)
-            kleb_overhead = overhead;
-        else if (tool != ToolKind::none)
-            best_other = std::min(best_other, overhead);
-
-        const RunResult &probe =
-            results[tool_idx * per_tool +
-                    static_cast<std::size_t>(runs)];
-        table.addRow({toolName(tool), toFixed(mean, 4),
-                      tool == ToolKind::none ? "-"
-                                             : toFixed(overhead, 2),
-                      toFixed(paperOverhead[tool_idx], 2),
-                      std::to_string(probe.samples)});
-        ++tool_idx;
+        if (row.tool == ToolKind::kleb)
+            kleb_overhead = row.overheadPct;
+        else if (row.tool != ToolKind::none)
+            best_other = std::min(best_other, row.overheadPct);
+        table.addRow({toolName(row.tool), toFixed(row.meanSeconds, 4),
+                      row.tool == ToolKind::none
+                          ? "-"
+                          : toFixed(row.overheadPct, 2),
+                      toFixed(paperOverhead[t], 2),
+                      std::to_string(row.samples)});
     }
 
     table.print();

@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "tools/harness.hh"
-#include "workload/matmul.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
 using namespace klebsim::bench;
@@ -20,25 +19,6 @@ using namespace klebsim::tools;
 
 namespace
 {
-
-RunConfig
-makeConfig(bool quick)
-{
-    RunConfig cfg;
-    cfg.period = msToTicks(10);
-    std::uint32_t n = quick ? 640 : 1000;
-    double flops = workload::matmulFlops({n});
-    cfg.expectedInstructions =
-        static_cast<std::uint64_t>(flops / 5.33 * 2.0);
-    cfg.expectedLifetime = quick ? msToTicks(35) : msToTicks(120);
-    cfg.workloadFactory = [n](Addr base, Random rng) {
-        return workload::makeMatMulMkl({n}, base, rng);
-    };
-    // The MKL testbed runs a kernel without the LiMiT patch
-    // (paper: "unsupported OS and kernel version for LiMiT").
-    cfg.limitPatchAvailable = false;
-    return cfg;
-}
 
 constexpr double paperOverhead[] = {0.0, 1.13, 7.64, 2.00, 21.40,
                                     -1.0};
@@ -50,60 +30,26 @@ main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     int runs = args.runsOr(args.quick ? 5 : 25);
-    RunConfig cfg = makeConfig(args.quick);
 
     banner("Table III: Intel MKL dgemm overhead @ 10 ms (" +
            std::to_string(runs) + " runs/tool)");
 
-    // One (tool, trial) grid, fanned out across worker threads;
-    // each cell simulates a fresh machine.
-    const std::vector<ToolKind> &tools = allTools();
-    const auto n_runs = static_cast<std::size_t>(runs);
-    std::vector<RunResult> results = runTrials(
-        args.jobs, tools.size() * n_runs, [&](std::size_t k) {
-            RunConfig trial_cfg = cfg;
-            trial_cfg.tool = tools[k / n_runs];
-            trial_cfg.seed = trialSeed(
-                cfg.seed,
-                static_cast<std::uint64_t>(trial_cfg.tool),
-                k % n_runs);
-            return runOnce(trial_cfg);
-        });
-
-    std::vector<double> baseline;
     Table table({"Profiling Tool", "Mean time (ms)",
                  "Overhead (%)", "Paper (%)"});
-    std::size_t tool_idx = 0;
-
-    for (ToolKind tool : tools) {
-        std::vector<double> secs;
-        for (std::size_t i = 0; i < n_runs; ++i) {
-            const RunResult &r = results[tool_idx * n_runs + i];
-            if (r.supported)
-                secs.push_back(r.seconds);
-        }
-        if (secs.size() != n_runs)
-            secs.clear();
-        if (secs.empty()) {
-            table.addRow({toolName(tool), "n/a", "n/a", "n/a"});
-            ++tool_idx;
+    const auto rows = experiments::table3(args.quick, runs, args.jobs);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+        const experiments::OverheadRow &row = rows[t];
+        if (!row.supported) {
+            table.addRow({toolName(row.tool), "n/a", "n/a", "n/a"});
             continue;
         }
-        if (tool == ToolKind::none)
-            baseline = secs;
-        double mean = 0;
-        for (double s : secs)
-            mean += s;
-        mean /= static_cast<double>(secs.size());
         table.addRow(
-            {toolName(tool), toFixed(mean * 1000.0, 2),
-             tool == ToolKind::none
+            {toolName(row.tool), toFixed(row.meanSeconds * 1000.0, 2),
+             row.tool == ToolKind::none
                  ? "-"
-                 : toFixed(overheadPct(secs, baseline), 2),
-             paperOverhead[tool_idx] < 0
-                 ? "n/a"
-                 : toFixed(paperOverhead[tool_idx], 2)});
-        ++tool_idx;
+                 : toFixed(row.overheadPct, 2),
+             paperOverhead[t] < 0 ? "n/a"
+                                  : toFixed(paperOverhead[t], 2)});
     }
 
     table.print();

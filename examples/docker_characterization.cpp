@@ -7,20 +7,17 @@
  * descendant tracing, and classifies the image by LLC MPKI — then
  * prints the co-location advice the paper derives from it: pair a
  * computation-intensive container with a memory-intensive one on
- * the same core, never two memory-intensive ones.
+ * the same core, never two memory-intensive ones.  Exits 1 if an
+ * image lands outside the class the catalog expects.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "stats/time_series.hh"
-#include "workload/docker.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
-using namespace klebsim::ticks_literals;
 
 namespace
 {
@@ -32,31 +29,6 @@ struct Result
     bool memoryIntensive;
 };
 
-Result
-characterize(const std::string &image)
-{
-    kernel::System sys;
-    workload::DockerImageSpec spec = workload::dockerImage(image);
-    spec.instructions = 120000000; // short characterization burst
-
-    auto container = workload::launchContainer(
-        sys.kernel(), spec, 0, 0x200000000ULL, sys.forkRng(17));
-
-    kleb::Session::Options opts;
-    opts.events = {hw::HwEvent::instRetired, hw::HwEvent::llcMiss};
-    opts.period = 1_ms;
-    opts.controllerCore = 1;
-    kleb::Session session(sys, opts);
-    session.monitor(container->shim, false);
-    sys.run();
-
-    hw::EventVector totals = session.finalTotals();
-    double mpki = stats::mpki(
-        static_cast<double>(at(totals, hw::HwEvent::llcMiss)),
-        static_cast<double>(at(totals, hw::HwEvent::instRetired)));
-    return {image, mpki, mpki > workload::memoryIntensiveMpki};
-}
-
 } // namespace
 
 int
@@ -65,9 +37,16 @@ main()
     std::printf("characterizing docker images via K-LEB "
                 "(shim-PID monitoring, children traced)...\n\n");
 
+    // A short characterization burst per image.
     std::vector<Result> results;
-    for (const auto &spec : workload::dockerCatalog())
-        results.push_back(characterize(spec.name));
+    bool classes_match = true;
+    for (const auto &spec : workload::dockerCatalog()) {
+        double mpki = experiments::imageMpki(
+            hw::MachineConfig::corei7_920(), spec, 120000000, 17);
+        bool memory = mpki > workload::memoryIntensiveMpki;
+        classes_match &= memory == spec.expectMemoryIntensive;
+        results.push_back({spec.name, mpki, memory});
+    }
 
     std::printf("%-10s %8s  %s\n", "image", "MPKI", "class");
     for (const Result &r : results) {
@@ -98,5 +77,5 @@ main()
                 "containers (e.g. %s + %s) on one core.\n",
                 mem.size() > 0 ? mem[0].name.c_str() : "-",
                 mem.size() > 1 ? mem[1].name.c_str() : "-");
-    return 0;
+    return classes_match ? 0 : 1;
 }

@@ -9,87 +9,48 @@
  * MPKI threshold; the detector then flags any run whose stream
  * crosses it for several consecutive samples, reporting detection
  * latency from attack onset.  A 10 ms tool cannot do this: the
- * clean program finishes inside one of its intervals.
+ * clean program finishes inside one of its intervals.  Exits 1 if
+ * the detector flags a clean run or misses an attacked one.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "stats/time_series.hh"
-#include "workload/meltdown.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
-using namespace klebsim::ticks_literals;
 
 namespace
 {
 
-struct Stream
+/** Per-interval MPKI of one run of the victim. */
+std::vector<double>
+intervalMpki(const experiments::VictimRun &run)
 {
+    auto inst = run.deltas.channel("INST_RETIRED");
+    auto miss = run.deltas.channel("LLC_MISSES");
     std::vector<double> mpki;
-    std::vector<Tick> when;
-    Tick lifetime;
-    std::string recovered;
-};
-
-Stream
-capture(bool with_attack, std::uint64_t seed)
-{
-    kernel::System sys(hw::MachineConfig::corei7_920(), seed);
-    std::unique_ptr<workload::PhaseWorkload> printer;
-    std::unique_ptr<workload::MeltdownWorkload> attack;
-    hw::WorkSource *src;
-    if (with_attack) {
-        workload::MeltdownParams params;
-        params.retriesPerByte = 80;
-        attack = std::make_unique<workload::MeltdownWorkload>(
-            params, 0x300000000ULL, sys.forkRng(3));
-        src = attack.get();
-    } else {
-        printer = workload::makeSecretPrinter(0x300000000ULL,
-                                              sys.forkRng(3));
-        src = printer.get();
-    }
-    kernel::Process *proc =
-        sys.kernel().createWorkload("victim", src, 0);
-
-    kleb::Session::Options opts;
-    opts.events = {hw::HwEvent::instRetired, hw::HwEvent::llcMiss};
-    opts.period = 100_us;
-    opts.controllerCore = 1;
-    kleb::Session session(sys, opts);
-    session.monitor(proc);
-    sys.run();
-
-    Stream out;
-    stats::TimeSeries deltas = session.deltaSeries();
-    auto inst = deltas.channel(0);
-    auto miss = deltas.channel(1);
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-        out.mpki.push_back(
-            stats::mpki(miss[i], std::max(inst[i], 1.0)));
-        out.when.push_back(deltas.timeAt(i));
-    }
-    out.lifetime = proc->lifetime();
-    if (attack)
-        out.recovered = attack->recoveredSecret();
-    return out;
+    for (std::size_t i = 0; i < inst.size(); ++i)
+        mpki.push_back(stats::mpki(miss[i], std::max(inst[i], 1.0)));
+    return mpki;
 }
 
 /** Flag when `consecutive` samples exceed the threshold. */
 int
-detect(const Stream &s, double threshold, int consecutive)
+detect(const std::vector<double> &mpki, double threshold,
+       int consecutive)
 {
     int streak = 0;
-    for (std::size_t i = 0; i < s.mpki.size(); ++i) {
-        streak = s.mpki[i] > threshold ? streak + 1 : 0;
+    for (std::size_t i = 0; i < mpki.size(); ++i) {
+        streak = mpki[i] > threshold ? streak + 1 : 0;
         if (streak >= consecutive)
             return static_cast<int>(i) - consecutive + 1;
     }
     return -1;
 }
+
+constexpr std::uint32_t retries = 80;
 
 } // namespace
 
@@ -100,13 +61,18 @@ main()
     // interval average.
     std::printf("calibrating on clean runs...\n");
     double clean_peak_avg = 0;
+    Tick clean_lifetime = 0;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        Stream s = capture(false, seed);
+        experiments::VictimRun run =
+            experiments::meltdownVictim(false, seed, retries);
+        std::vector<double> mpki = intervalMpki(run);
         double avg = 0;
-        for (double v : s.mpki)
+        for (double v : mpki)
             avg += v;
-        avg /= std::max<std::size_t>(s.mpki.size(), 1);
+        avg /= std::max<std::size_t>(mpki.size(), 1);
         clean_peak_avg = std::max(clean_peak_avg, avg);
+        if (seed == 1)
+            clean_lifetime = run.lifetime;
     }
     double threshold = 3.0 * clean_peak_avg;
     std::printf("clean average MPKI ~%.1f -> threshold %.1f\n\n",
@@ -115,8 +81,9 @@ main()
     // Detector on clean runs: must stay silent.
     int false_positives = 0;
     for (std::uint64_t seed = 10; seed < 15; ++seed) {
-        Stream s = capture(false, seed);
-        if (detect(s, threshold, 3) >= 0)
+        if (detect(intervalMpki(experiments::meltdownVictim(
+                       false, seed, retries)),
+                   threshold, 3) >= 0)
             ++false_positives;
     }
     std::printf("clean runs flagged: %d / 5\n", false_positives);
@@ -126,15 +93,16 @@ main()
     double latency_ms = 0;
     std::string recovered;
     for (std::uint64_t seed = 20; seed < 25; ++seed) {
-        Stream s = capture(true, seed);
-        int at = detect(s, threshold, 3);
+        experiments::VictimRun run =
+            experiments::meltdownVictim(true, seed, retries);
+        int at = detect(intervalMpki(run), threshold, 3);
         if (at >= 0) {
             ++detected;
-            latency_ms += ticksToMs(s.when[
-                              static_cast<std::size_t>(at)] -
-                          s.when[0]);
+            latency_ms += ticksToMs(
+                run.deltas.timeAt(static_cast<std::size_t>(at)) -
+                run.deltas.timeAt(0));
         }
-        recovered = s.recovered;
+        recovered = run.recovered;
     }
     std::printf("attacked runs flagged: %d / 5", detected);
     if (detected)
@@ -146,6 +114,7 @@ main()
                 recovered.c_str());
     std::printf("a 10 ms-floor tool sees %s samples of the clean "
                 "%0.1f ms program — no stream to detect on.\n",
-                "0-1", ticksToMs(capture(false, 1).lifetime));
-    return 0;
+                "0-1", ticksToMs(clean_lifetime));
+    // The detector holds when it flags every attack and no clean run.
+    return false_positives == 0 && detected == 5 ? 0 : 1;
 }

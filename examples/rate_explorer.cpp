@@ -5,53 +5,18 @@
  * The paper's closing advice: "it is up to the users to determine
  * at what level they want to monitor, given the trade-off between
  * overhead and the granularity of samples."  This example automates
- * that choice: given an overhead budget, it probes a short run of
- * the target workload at several periods and recommends the finest
- * rate that fits the budget.
+ * that choice: given an overhead budget, it reads the K-LEB period
+ * sweep (the timer-sweep ablation's rows, at its CI size) and
+ * recommends the finest period that fits the budget.
  */
 
 #include <cstdio>
-#include <vector>
+#include <cstdlib>
 
-#include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "workload/matmul.hh"
+#include "bench_support/trial_pool.hh"
+#include "experiments/experiments.hh"
 
 using namespace klebsim;
-using namespace klebsim::ticks_literals;
-
-namespace
-{
-
-double
-probeOverhead(Tick period)
-{
-    auto run = [&](bool monitored) {
-        kernel::System sys(hw::MachineConfig::corei7_920(), 51);
-        auto wl = workload::makeMatMulLoop({320}, 0x100000000ULL,
-                                           sys.forkRng(7));
-        kernel::Process *p =
-            sys.kernel().createWorkload("probe", wl.get(), 0);
-        std::unique_ptr<kleb::Session> session;
-        if (monitored) {
-            kleb::Session::Options opts;
-            opts.events = {hw::HwEvent::instRetired,
-                           hw::HwEvent::llcMiss};
-            opts.period = period;
-            session = std::make_unique<kleb::Session>(sys, opts);
-            session->monitor(p);
-        } else {
-            sys.kernel().startProcess(p);
-        }
-        sys.run();
-        return ticksToSec(p->exitTick());
-    };
-    double base = run(false);
-    double mon = run(true);
-    return (mon - base) / base * 100.0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -59,23 +24,18 @@ main(int argc, char **argv)
     double budget_pct = argc > 1 ? std::atof(argv[1]) : 2.0;
     std::printf("overhead budget: %.2f%%\n\n", budget_pct);
 
-    const std::vector<Tick> periods = {
-        usToTicks(25),  usToTicks(50),  usToTicks(100),
-        usToTicks(250), usToTicks(500), msToTicks(1),
-        msToTicks(10)};
-
     std::printf("%12s %14s %10s\n", "period", "overhead (%)",
                 "fits?");
     Tick best = 0;
     double best_overhead = 0;
-    for (Tick period : periods) {
-        double overhead = probeOverhead(period);
-        bool fits = overhead <= budget_pct;
-        std::printf("%9.0f us %14.3f %10s\n", ticksToUs(period),
-                    overhead, fits ? "yes" : "no");
+    for (const experiments::PeriodRow &row : experiments::timerSweep(
+             true, 2, bench::TrialPool::defaultJobs())) {
+        bool fits = row.overheadPct <= budget_pct;
+        std::printf("%9.0f us %14.3f %10s\n", ticksToUs(row.period),
+                    row.overheadPct, fits ? "yes" : "no");
         if (fits && best == 0) { // periods listed finest-first
-            best = period;
-            best_overhead = overhead;
+            best = row.period;
+            best_overhead = row.overheadPct;
         }
     }
 
@@ -89,7 +49,7 @@ main(int argc, char **argv)
                         static_cast<double>(best));
     } else {
         std::printf("\nno probed rate fits the budget; coarsen "
-                    "beyond 10 ms or relax the budget.\n");
+                    "beyond 100 ms or relax the budget.\n");
     }
     return 0;
 }

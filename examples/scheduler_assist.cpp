@@ -5,56 +5,30 @@
  * placement, then measure the consequence of a good vs. bad
  * placement on the simulated machine.
  *
- * Phase 1 characterizes four containers with short probe runs.
+ * Phase 1 classifies four containers with short probe runs.
  * Phase 2 runs them pairwise on two cores under two policies:
  *   - counter-guided: each core gets one memory-intensive and one
  *     computation-intensive container;
  *   - naive: both memory-intensive containers share a core.
  * The shared LLC makes the naive placement slower: the two
  * memory-hungry processes interleave on one core and thrash each
- * other's (and the machine's) cache state.
+ * other's (and the machine's) cache state.  Exits 1 if the
+ * counter-guided placement is not the faster one.
  */
 
 #include <cstdio>
 #include <vector>
 
+#include "experiments/experiments.hh"
 #include "kernel/system.hh"
-#include "kleb/session.hh"
-#include "stats/time_series.hh"
-#include "workload/docker.hh"
 
 using namespace klebsim;
-using namespace klebsim::ticks_literals;
 
 namespace
 {
 
 constexpr std::uint64_t probeInstructions = 60000000;
 constexpr std::uint64_t runInstructions = 250000000;
-
-double
-probeMpki(const std::string &image)
-{
-    kernel::System sys;
-    workload::DockerImageSpec spec = workload::dockerImage(image);
-    spec.instructions = probeInstructions;
-    auto wl = workload::makeDockerWorkload(spec, 0x200000000ULL,
-                                           sys.forkRng(5));
-    kernel::Process *p =
-        sys.kernel().createWorkload(image, wl.get(), 0);
-
-    kleb::Session::Options opts;
-    opts.events = {hw::HwEvent::instRetired, hw::HwEvent::llcMiss};
-    opts.period = 500_us;
-    opts.controllerCore = 1;
-    kleb::Session session(sys, opts);
-    session.monitor(p);
-    sys.run();
-    hw::EventVector totals = session.finalTotals();
-    return stats::mpki(
-        static_cast<double>(at(totals, hw::HwEvent::llcMiss)),
-        static_cast<double>(at(totals, hw::HwEvent::instRetired)));
-}
 
 /** Run 4 images with a given core assignment; return makespan. */
 double
@@ -95,7 +69,9 @@ main()
                 "runs)\n");
     std::vector<std::pair<std::string, double>> mpki;
     for (const auto &image : images) {
-        double m = probeMpki(image);
+        double m = experiments::imageMpki(
+            hw::MachineConfig::corei7_920(),
+            workload::dockerImage(image), probeInstructions, 5);
         mpki.emplace_back(image, m);
         std::printf("  %-8s MPKI %6.2f -> %s\n", image.c_str(), m,
                     m > workload::memoryIntensiveMpki
@@ -119,5 +95,5 @@ main()
                 "the decision K-LEB's low-overhead online data "
                 "enables.\n",
                 (naive - guided) / naive * 100.0);
-    return 0;
+    return guided < naive ? 0 : 1;
 }

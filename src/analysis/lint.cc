@@ -682,9 +682,12 @@ Linter::checkHeartbeatCoverage(
 
 std::vector<LintViolation>
 Linter::checkAllowlistEntries(
-    const std::vector<std::string> &files) const
+    const std::vector<std::string> &files,
+    const std::vector<std::pair<std::string, std::string>> &sources)
+    const
 {
     static const std::string rule = "allowlist-dangling";
+    const Linter bare; // only the built-in carve-outs
     std::vector<LintViolation> out;
     for (const AllowlistEntry &entry : loaded_) {
         if (!knownRule(entry.rule)) {
@@ -702,12 +705,31 @@ Linter::checkAllowlistEntries(
                 break;
             }
         }
-        if (!matches)
+        if (!matches) {
             out.push_back(
                 {rule, entry.origin, entry.line,
                  entry.rule + " " + entry.prefix,
                  "allowlist entry matches no existing source file; "
                  "prune it"});
+            continue;
+        }
+        // With only the built-in carve-outs, a token rule must find
+        // a violation under the entry.
+        const bool token = std::any_of(
+            rules_.begin(), rules_.end(),
+            [&](const LintRule &r) { return r.id == entry.rule; });
+        bool covers = false, excuses = !token;
+        for (const auto &[rel, content] : sources) {
+            if (excuses || !rel.starts_with(entry.prefix))
+                continue;
+            covers = true;
+            for (const LintViolation &v : bare.scanSource(rel, content))
+                excuses = excuses || v.rule == entry.rule;
+        }
+        if (covers && !excuses)
+            out.push_back({rule, entry.origin, entry.line,
+                           entry.rule + " " + entry.prefix,
+                           "allowlist entry excuses nothing; prune it"});
     }
     return out;
 }
@@ -817,7 +839,7 @@ Linter::scanTree(const std::string &root) const
             }
         }
     }
-    auto allow_violations = checkAllowlistEntries(allFiles);
+    auto allow_violations = checkAllowlistEntries(allFiles, sources);
     out.insert(out.end(), allow_violations.begin(),
                allow_violations.end());
     return out;

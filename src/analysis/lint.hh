@@ -49,7 +49,8 @@
  *                   recovery code;
  *  - allowlist-dangling: every allowlist entry loaded from a file
  *                   must still match at least one existing source
- *                   file AND name a rule that still exists, so
+ *                   file AND name a rule that still exists, and a
+ *                   token rule's entry must excuse a violation, so
  *                   stale carve-outs cannot silently mask future
  *                   violations.
  *
@@ -174,12 +175,17 @@ class Linter
      * Verify every file-loaded allowlist entry still matches at
      * least one path in @p files (repo-relative) AND names a rule
      * this linter knows (a token rule or one of the built-in
-     * checks).  Dangling entries are reported against the allowlist
-     * file itself, so pruning a source file — or retiring a rule —
-     * forces its carve-outs to be pruned too.
+     * checks).  Of @p sources (rel-path/content pairs), the files
+     * under a token rule's entry must break that rule when scanned
+     * with only the built-in carve-outs.  Dangling entries are
+     * reported against the allowlist file itself, so pruning a
+     * source file, a violation or a rule forces its carve-outs to be
+     * pruned too.
      */
     std::vector<LintViolation> checkAllowlistEntries(
-        const std::vector<std::string> &files) const;
+        const std::vector<std::string> &files,
+        const std::vector<std::pair<std::string, std::string>>
+            &sources = {}) const;
 
     /** True if @p rule_id names a token or built-in rule. */
     bool knownRule(const std::string &rule_id) const;

@@ -1,5 +1,7 @@
 #include "harness.hh"
 
+#include <stdexcept>
+
 #include "base/logging.hh"
 #include "fault/fault_injector.hh"
 #include "hw/perf_event.hh"
@@ -62,9 +64,8 @@ runOnce(const RunConfig &cfg)
     if (!cfg.faultSpec.empty()) {
         fault::FaultPlan plan;
         std::string err;
-        fatal_if(!fault::FaultPlan::parse(cfg.faultSpec, &plan,
-                                          &err),
-                 "bad fault spec: ", err);
+        if (!fault::FaultPlan::parse(cfg.faultSpec, &plan, &err))
+            throw std::runtime_error("bad fault spec: " + err);
         injector = std::make_unique<fault::FaultInjector>(
             plan, cfg.seed);
         injector->attach(sys);
@@ -191,8 +192,9 @@ runOnce(const RunConfig &cfg)
     }
 
     sys.run(cfg.simLimit);
-    fatal_if(target->state() != kernel::ProcState::zombie,
-             "workload did not finish within the simulation limit");
+    if (target->state() != kernel::ProcState::zombie)
+        throw std::runtime_error(
+            "workload did not finish within the simulation limit");
     if (injector)
         result.faultsInjected = injector->totalInjected();
 

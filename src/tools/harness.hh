@@ -196,7 +196,8 @@ struct RunResult
     std::uint64_t contextSwitches = 0;
 };
 
-/** Execute one run. */
+/** Execute one run.  Throws std::runtime_error if the fault spec
+ *  does not parse or the workload has not exited by `simLimit`. */
 RunResult runOnce(const RunConfig &cfg);
 
 /**

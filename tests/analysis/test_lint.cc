@@ -494,6 +494,29 @@ TEST(Lint, AllowlistDanglingEntryFlagged)
               1u);
 }
 
+TEST(Lint, AllowlistEntryExcusingNothingFlagged)
+{
+    Linter linter;
+    std::string err;
+    ASSERT_TRUE(linter.loadAllowlistFromString(
+        "wall-clock src/kleb/a.cc\n"
+        "wall-clock src/kleb/b.cc\n",
+        "tools/lint_allowlist.txt", &err))
+        << err;
+
+    // a.cc reads the host clock, so its entry excuses a finding;
+    // b.cc reads none, so its entry only waits to mask a future one.
+    auto vs = linter.checkAllowlistEntries(
+        {"src/kleb/a.cc", "src/kleb/b.cc"},
+        {{"src/kleb/a.cc",
+          "auto t = std::chrono::steady_clock::now();\n"},
+         {"src/kleb/b.cc", "int x = 0;\n"}});
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_EQ(vs[0].rule, "allowlist-dangling");
+    EXPECT_EQ(vs[0].line, 2u);
+    EXPECT_NE(vs[0].message.find("excuses nothing"), std::string::npos);
+}
+
 TEST(Lint, FlagsBareMutexLocking)
 {
     Linter linter;

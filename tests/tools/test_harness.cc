@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "tools/harness.hh"
 #include "workload/microbench.hh"
 
@@ -108,4 +111,38 @@ TEST(Harness, KLebStatusPropagated)
     EXPECT_EQ(r.klebStatus.samplesDropped, 0u);
     ASSERT_TRUE(r.series.has_value());
     EXPECT_EQ(r.series->size(), r.samples);
+}
+
+namespace
+{
+
+/** The message runOnce(@p cfg) throws; empty if it returns. */
+std::string
+runError(const RunConfig &cfg)
+{
+    try {
+        runOnce(cfg);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Harness, BadFaultSpecThrows)
+{
+    RunConfig cfg = smallConfig(ToolKind::kleb);
+    cfg.faultSpec = "no.such.point=1";
+    EXPECT_NE(runError(cfg).find("bad fault spec: unknown fault spec "
+                                 "key 'no.such.point'"),
+              std::string::npos);
+}
+
+TEST(Harness, UnfinishedWorkloadThrows)
+{
+    RunConfig cfg = smallConfig(ToolKind::kleb);
+    cfg.simLimit = usToTicks(10);
+    EXPECT_EQ(runError(cfg),
+              "workload did not finish within the simulation limit");
 }

@@ -1,35 +1,48 @@
 #!/usr/bin/env bash
-# Rerun every experiment bench at `--quick --jobs 1 --csv` and diff
-# its standard output against bench/golden/<bench>.csv; every byte
+# Rerun experiment benches at `--quick --jobs 1 --csv` and diff each
+# one's standard output against bench/golden/<bench>.csv; every byte
 # must match.  abl_fleet_scale prints the jobs count, so --jobs 1 is
-# part of the recipe.  A bench that exits nonzero (abl_fleet_scale
-# and abl_adaptive_budget do when one of their claims breaks) prints
-# `FAILED <bench> (exit N)` and counts as a failure; the remaining
-# benches still run.  ctest runs this script as `bench.goldens`.
+# part of the recipe.  ctest runs this once per bench, as
+# `bench.golden.<bench>`; with no bench names it checks every golden.
 #
-# usage: tools/check_bench_goldens.sh <build-dir> [--update]
+# usage: tools/check_bench_goldens.sh <build-dir> [--update] [bench...]
 #
 # Exits 0 when every bench exits 0 and matches its golden, 1
-# otherwise (a unified diff per mismatch goes to stdout).  --update
-# rewrites the goldens from <build-dir> instead, except for a bench
-# that exited nonzero, whose golden it leaves alone; to add a bench,
-# create an empty bench/golden/<bench>.csv and run --update.
+# otherwise: a unified diff per mismatch goes to stdout, a bench that
+# exits nonzero (one whose claims break) prints `FAILED <bench> (exit
+# N)` and one without a golden `MISSING <bench>`.  --update rewrites
+# the goldens from <build-dir> instead, except for a bench that
+# exited nonzero; to add a bench, create an empty
+# bench/golden/<bench>.csv and run --update.
 set -euo pipefail
 
-if [[ $# -lt 1 || $# -gt 2 || ( $# -eq 2 && $2 != --update ) ]]; then
-    echo "usage: $0 <build-dir> [--update]" >&2
+if [[ $# -lt 1 ]]; then
+    echo "usage: $0 <build-dir> [--update] [bench...]" >&2
     exit 2
 fi
 build=$1
-update=${2:-}
+shift
+update=
+if [[ ${1:-} == --update ]]; then
+    update=1
+    shift
+fi
 golden=$(cd "$(dirname "$0")/../bench/golden" && pwd)
+if [[ $# -eq 0 ]]; then
+    set -- $(cd "$golden" && ls -- *.csv | sed 's/\.csv$//')
+fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 failed=0
-for file in "$golden"/*.csv; do
-    bench=$(basename "$file" .csv)
+for bench in "$@"; do
+    file=$golden/$bench.csv
     status=0
+    if [[ ! -f $file ]]; then
+        echo "MISSING $bench (no bench/golden/$bench.csv)"
+        failed=1
+        continue
+    fi
     "$build/bench/$bench" --quick --jobs 1 --csv > "$tmp/$bench.csv" ||
         status=$?
     if [[ $status -ne 0 ]]; then

@@ -130,6 +130,11 @@ BM_EventQueueMixedPriority(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueMixedPriority);
 
+// The BM_Cache* rows time the scalar lookup, Cache::access().  The
+// sampled walks take the vector lookup on hosts with AVX-512F
+// (MemHierarchy::walk); BM_ChunkBatched times whichever the host
+// selects.
+
 void
 BM_CacheAccessHit(benchmark::State &state)
 {
@@ -234,7 +239,8 @@ BM_ChunkBatched(benchmark::State &state)
 {
     // 64 streamed (memory-sampling) chunks through the chunk engine:
     // one virtual fillBatch call per chunk fills the SoA lanes, and
-    // the sampled cache walk reads them as plain arrays.
+    // MemHierarchy::walk reads them as plain arrays, through the
+    // vector lookup where the host has AVX-512F.
     hw::MachineConfig cfg = hw::MachineConfig::corei7_920();
     workload::MemPatternSpec pat =
         workload::MemPatternSpec::randomUniform(64 * 1024 * 1024);

@@ -73,44 +73,15 @@ CpuCore::executeChunk(const WorkChunk &chunk)
         stall_cycles = chunk.preStallCycles;
     } else {
         std::uint64_t mem_ops = chunk.loads + chunk.stores;
-        std::uint64_t l1_miss = 0, l2_miss = 0, llc_ref = 0,
-                      llc_miss = 0;
-        std::uint64_t sampled_stall = 0;
+        WalkCounts walk;
         std::uint64_t sampled = 0;
         if (mem_ops > 0 && chunk.stream != nullptr) {
             sampled = std::min<std::uint64_t>(mem_ops, memSampleCap_);
-            // Hoisted out of the sampled loop: the config is const
-            // for the core's lifetime, but the compiler can't prove
-            // that across the stores of the inlined cache walk.
-            const std::uint32_t l1Lat = lat.l1;
-            // L2 hits are almost entirely hidden by the out-of-order
-            // window; deeper misses expose their full latency beyond
-            // L1.
-            const std::uint32_t l2HiddenStall =
-                (lat.l2 - lat.l1) / 12;
-            // One virtual call fills both SoA lanes; the walk below
-            // then reads contiguous plain arrays.  The lane pointers
-            // are hoisted for the same reason as the latencies.
-            Addr *addrs = laneAddr_.data();
-            std::uint8_t *writes = laneWrite_.data();
-            chunk.stream->fillBatch(addrs, writes, sampled);
-            for (std::uint64_t i = 0; i < sampled; ++i) {
-                AccessOutcome out =
-                    mem_.access(addrs[i], writes[i] != 0);
-                if (out.l1Miss) {
-                    ++l1_miss;
-                    std::uint32_t extra = out.cycles - l1Lat;
-                    if (!out.l2Miss)
-                        extra = l2HiddenStall;
-                    sampled_stall += extra;
-                }
-                if (out.l2Miss)
-                    ++l2_miss;
-                if (out.llcRef)
-                    ++llc_ref;
-                if (out.llcMiss)
-                    ++llc_miss;
-            }
+            // One virtual call fills both SoA lanes; the walk then
+            // reads the addresses as a plain array.
+            chunk.stream->fillBatch(laneAddr_.data(), laneWrite_.data(),
+                                    sampled);
+            walk = mem_.walk(laneAddr_.data(), sampled);
         }
         double scale =
             sampled ? static_cast<double>(mem_ops) /
@@ -133,13 +104,19 @@ CpuCore::executeChunk(const WorkChunk &chunk)
         at(ev, HwEvent::arithDiv) = chunk.divs;
         at(ev, HwEvent::fpOpsRetired) = chunk.fpops;
         at(ev, HwEvent::l1dReference) = mem_ops;
-        at(ev, HwEvent::l1dMiss) = scaled(l1_miss);
-        at(ev, HwEvent::l2Reference) = scaled(l1_miss);
-        at(ev, HwEvent::l2Miss) = scaled(l2_miss);
-        at(ev, HwEvent::llcReference) = scaled(llc_ref);
-        at(ev, HwEvent::llcMiss) = scaled(llc_miss);
+        at(ev, HwEvent::l1dMiss) = scaled(walk.l1Miss);
+        at(ev, HwEvent::l2Reference) = scaled(walk.l1Miss);
+        at(ev, HwEvent::l2Miss) = scaled(walk.l2Miss);
+        at(ev, HwEvent::llcReference) = scaled(walk.l2Miss);
+        at(ev, HwEvent::llcMiss) = scaled(walk.llcMiss);
 
-        stall_cycles = scaled(sampled_stall);
+        // L2 hits are almost entirely hidden by the out-of-order
+        // window; deeper misses expose their full latency beyond L1.
+        const std::uint32_t l2HiddenStall = (lat.l2 - lat.l1) / 12;
+        stall_cycles = scaled(
+            (walk.l1Miss - walk.l2Miss) * l2HiddenStall +
+            (walk.l2Miss - walk.llcMiss) * (lat.llc - lat.l1) +
+            walk.llcMiss * (lat.dram - lat.l1));
     }
 
     Cycles cyc;
@@ -293,29 +270,20 @@ CpuCore::charge(const ChargeSpec &spec)
         }
         std::uint64_t touched =
             std::min<std::uint64_t>(lines, memSampleCap_);
-        std::uint64_t l1_miss = 0, l2_miss = 0, llc_ref = 0,
-                      llc_miss = 0;
         const Addr lineSize = cfg_.l1d.lineSize;
         // Stride across the footprint; rotate the start so repeated
         // charges revisit the same lines (a warm working set) while
         // still walking all of it over time.  The cursor may predate
         // a smaller footprint, hence the one modulo.
+        Addr *addrs = laneAddr_.data();
         std::uint64_t line = kernelScratchCursor_ % lines;
         for (std::uint64_t i = 0; i < touched; ++i) {
-            AccessOutcome out = mem_.accessNonTemporal(
-                base + line * lineSize, (i % 8) == 0);
+            addrs[i] = base + line * lineSize;
             if (++line == lines)
                 line = 0;
-            if (out.l1Miss)
-                ++l1_miss;
-            if (out.l2Miss)
-                ++l2_miss;
-            if (out.llcRef)
-                ++llc_ref;
-            if (out.llcMiss)
-                ++llc_miss;
         }
         kernelScratchCursor_ = line;
+        const WalkCounts walk = mem_.walkNonTemporal(addrs, touched);
         double scale = static_cast<double>(
                            std::min<std::uint64_t>(lines, mem_ops)) /
                        static_cast<double>(touched);
@@ -325,11 +293,11 @@ CpuCore::charge(const ChargeSpec &spec)
             return static_cast<std::uint64_t>(
                 std::llround(static_cast<double>(n) * scale));
         };
-        at(ev, HwEvent::l1dMiss) = sc(l1_miss);
-        at(ev, HwEvent::l2Reference) = sc(l1_miss);
-        at(ev, HwEvent::l2Miss) = sc(l2_miss);
-        at(ev, HwEvent::llcReference) = sc(llc_ref);
-        at(ev, HwEvent::llcMiss) = sc(llc_miss);
+        at(ev, HwEvent::l1dMiss) = sc(walk.l1Miss);
+        at(ev, HwEvent::l2Reference) = sc(walk.l1Miss);
+        at(ev, HwEvent::l2Miss) = sc(walk.l2Miss);
+        at(ev, HwEvent::llcReference) = sc(walk.l2Miss);
+        at(ev, HwEvent::llcMiss) = sc(walk.llcMiss);
     }
 
     pmu_.addEvents(ev, spec.priv);

@@ -129,8 +129,8 @@ class CpuCore
     /**
      * Run one chunk into a Prepared record: fill the SoA lanes with
      * up to memSampleCap_ of its accesses, walk them through the
-     * cache model, extrapolate the rest, and cost the chunk in
-     * cycles.
+     * cache model (MemHierarchy::walk), extrapolate the rest, and
+     * cost the chunk in cycles.
      */
     ExecContext::Prepared executeChunk(const WorkChunk &chunk);
 
@@ -162,7 +162,8 @@ class CpuCore
      * @{ SoA sample lanes, sized memSampleCap_ at construction:
      * one fillBatch call per chunk fills them contiguously, and the
      * cache-model walk reads plain arrays instead of making one
-     * virtual call per access.
+     * virtual call per access.  charge() puts its pollution walk's
+     * line addresses in laneAddr_.
      */
     std::vector<Addr> laneAddr_;
     std::vector<std::uint8_t> laneWrite_;

@@ -12,6 +12,99 @@ MemHierarchy::MemHierarchy(const MachineConfig &cfg, Cache *shared_llc)
     panic_if(llc_ == nullptr, "MemHierarchy needs a shared LLC");
 }
 
+WalkCounts
+MemHierarchy::walk(const Addr *addrs, std::size_t n)
+{
+#if defined(__x86_64__)
+    if (vectorWalk())
+        return walkAvx512(addrs, n);
+#endif
+    return walkScalar(addrs, n);
+}
+
+WalkCounts
+MemHierarchy::walkNonTemporal(const Addr *addrs, std::size_t n)
+{
+#if defined(__x86_64__)
+    if (vectorWalk())
+        return walkNonTemporalAvx512(addrs, n);
+#endif
+    return walkNonTemporalScalar(addrs, n);
+}
+
+bool
+MemHierarchy::vectorWalk() const
+{
+    return hostHasAvx512f() &&
+           l1_.geometry().ways <= Cache::vectorMaxWays &&
+           l2_.geometry().ways <= Cache::vectorMaxWays &&
+           llc_->geometry().ways <= Cache::vectorMaxWays;
+}
+
+// The walk bodies are 64-byte aligned, as is each address stream's
+// fillBatch(): see workload/address_streams.cc.
+
+[[gnu::aligned(64)]] WalkCounts
+MemHierarchy::walkScalar(const Addr *addrs, std::size_t n)
+{
+    std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const AccessOutcome out = access(addrs[i], false);
+        l1Miss += out.l1Miss;
+        l2Miss += out.l2Miss;
+        llcMiss += out.llcMiss;
+    }
+    return {l1Miss, l2Miss, llcMiss};
+}
+
+[[gnu::aligned(64)]] WalkCounts
+MemHierarchy::walkNonTemporalScalar(const Addr *addrs, std::size_t n)
+{
+    std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const AccessOutcome out = accessNonTemporal(addrs[i], false);
+        l1Miss += out.l1Miss;
+        l2Miss += out.l2Miss;
+        llcMiss += out.llcMiss;
+    }
+    return {l1Miss, l2Miss, llcMiss};
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx512f"), gnu::aligned(64)]] WalkCounts
+MemHierarchy::walkAvx512(const Addr *addrs, std::size_t n)
+{
+    std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (l1_.accessAvx512(addrs[i]))
+            continue;
+        ++l1Miss;
+        if (l2_.accessAvx512(addrs[i]))
+            continue;
+        ++l2Miss;
+        llcMiss += !llc_->accessAvx512(addrs[i]);
+    }
+    return {l1Miss, l2Miss, llcMiss};
+}
+
+[[gnu::target("avx512f"), gnu::aligned(64)]] WalkCounts
+MemHierarchy::walkNonTemporalAvx512(const Addr *addrs, std::size_t n)
+{
+    std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Only L1 allocates, as in accessNonTemporal().
+        if (l1_.accessAvx512(addrs[i]))
+            continue;
+        ++l1Miss;
+        if (l2_.containsAvx512(addrs[i]))
+            continue;
+        ++l2Miss;
+        llcMiss += !llc_->containsAvx512(addrs[i]);
+    }
+    return {l1Miss, l2Miss, llcMiss};
+}
+#endif
+
 AccessOutcome
 MemHierarchy::clflush(Addr addr)
 {
@@ -52,10 +145,10 @@ MemHierarchy::outcomeEvents(const AccessOutcome &out, bool write)
         at(ev, HwEvent::l1dMiss) = 1;
     if (out.l1Miss)
         at(ev, HwEvent::l2Reference) = 1;
-    if (out.l2Miss)
+    if (out.l2Miss) {
         at(ev, HwEvent::l2Miss) = 1;
-    if (out.llcRef)
         at(ev, HwEvent::llcReference) = 1;
+    }
     if (out.llcMiss)
         at(ev, HwEvent::llcMiss) = 1;
     return ev;

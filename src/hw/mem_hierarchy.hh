@@ -5,7 +5,9 @@
  *
  * Every access returns its latency and the per-level hit/miss
  * breakdown so the CPU core can both account stall cycles and feed
- * the PMU the corresponding microarchitectural events.
+ * the PMU the corresponding microarchitectural events.  The CPU
+ * core's sampled accesses go through walk() and walkNonTemporal(),
+ * which return only the per-level miss counts of a whole batch.
  */
 
 #ifndef KLEBSIM_HW_MEM_HIERARCHY_HH
@@ -31,15 +33,25 @@ enum class MemLevel
     dram,
 };
 
-/** Outcome of a single memory access. */
+/**
+ * Outcome of a single memory access.  An access reaches the LLC
+ * exactly when it misses L2, so l2Miss is also the LLC reference.
+ */
 struct AccessOutcome
 {
     MemLevel level = MemLevel::l1;
     std::uint32_t cycles = 0;
     bool l1Miss = false;
     bool l2Miss = false;
-    bool llcRef = false;  //!< the access reached the LLC
     bool llcMiss = false;
+};
+
+/** Per-level miss counts of one walk over sampled addresses. */
+struct WalkCounts
+{
+    std::uint64_t l1Miss = 0;
+    std::uint64_t l2Miss = 0; //!< also the walk's LLC references
+    std::uint64_t llcMiss = 0;
 };
 
 /**
@@ -75,7 +87,6 @@ class MemHierarchy
             return out;
         }
         out.l2Miss = true;
-        out.llcRef = true;
 
         if (llc_->access(addr, write)) {
             out.level = MemLevel::llc;
@@ -116,7 +127,6 @@ class MemHierarchy
             return out;
         }
         out.l2Miss = true;
-        out.llcRef = true;
         if (llc_->contains(addr)) {
             out.level = MemLevel::llc;
             out.cycles = lat.llc;
@@ -127,6 +137,40 @@ class MemHierarchy
         out.cycles = lat.dram;
         return out;
     }
+
+    /**
+     * access() each of @p n addresses in order and count the misses
+     * at each level.  The vector body runs when vectorWalk() holds,
+     * the scalar body otherwise; both leave the same counts, stats
+     * and tags.
+     */
+    WalkCounts walk(const Addr *addrs, std::size_t n);
+
+    /** walk() through accessNonTemporal(). */
+    WalkCounts walkNonTemporal(const Addr *addrs, std::size_t n);
+
+    /**
+     * True when walk() and walkNonTemporal() take their vector
+     * bodies: the host has AVX-512F and no level has more than
+     * Cache::vectorMaxWays ways.
+     */
+    bool vectorWalk() const;
+
+    /**
+     * @{ The two bodies of walk() and walkNonTemporal(), public so
+     * that tests can run both on one host.  The scalar ones call
+     * access() and accessNonTemporal(); the vector ones need
+     * vectorWalk().
+     */
+    WalkCounts walkScalar(const Addr *addrs, std::size_t n);
+    WalkCounts walkNonTemporalScalar(const Addr *addrs, std::size_t n);
+#if defined(__x86_64__)
+    [[gnu::target("avx512f")]] WalkCounts
+    walkAvx512(const Addr *addrs, std::size_t n);
+    [[gnu::target("avx512f")]] WalkCounts
+    walkNonTemporalAvx512(const Addr *addrs, std::size_t n);
+#endif
+    /** @} */
 
     /**
      * CLFLUSH @p addr: evict the line from every level.

@@ -282,6 +282,32 @@ class CacheReference : public ::testing::TestWithParam<RefParam>
 {
 };
 
+/** Cache::accessAvx512(); only called where hostHasAvx512f(). */
+bool
+vectorAccess(Cache &cache, Addr addr)
+{
+#if defined(__x86_64__)
+    return cache.accessAvx512(addr);
+#else
+    (void)cache;
+    (void)addr;
+    return false;
+#endif
+}
+
+/** Cache::containsAvx512(); only called where hostHasAvx512f(). */
+bool
+vectorContains(const Cache &cache, Addr addr)
+{
+#if defined(__x86_64__)
+    return cache.containsAvx512(addr);
+#else
+    (void)cache;
+    (void)addr;
+    return false;
+#endif
+}
+
 } // namespace
 
 /**
@@ -290,7 +316,9 @@ class CacheReference : public ::testing::TestWithParam<RefParam>
  * the same residency in hw::Cache and in the reference model.  The
  * addresses crowd a few sets (the first, the last and two inside),
  * so full sets and evictions occur even in an LLC, and some sit near
- * the top of the address space.
+ * the top of the address space.  Where the host has AVX-512F and the
+ * cache at most Cache::vectorMaxWays ways, a twin cache replays every
+ * op through the vector lookup under the same assertions.
  */
 TEST_P(CacheReference, MatchesReferenceModel)
 {
@@ -299,11 +327,17 @@ TEST_P(CacheReference, MatchesReferenceModel)
     const std::uint64_t sets = geom.sets();
     const std::uint64_t hotSets[] = {0, sets - 1, sets / 2 + 1,
                                      sets / 3 + 2};
+    const bool vectorWays = shape.ways <= Cache::vectorMaxWays;
+    const bool twin = vectorWays && hostHasAvx512f();
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Cache cache("dut", geom);
+        Cache vec("vector", geom);
         RefCache ref(geom);
         Random rng(seed + 1000);
+        std::vector<const Cache *> checked{&cache};
+        if (twin)
+            checked.push_back(&vec);
         for (int op = 0; op < 3000; ++op) {
             Addr addr;
             const std::uint32_t kind = rng.below(8);
@@ -320,34 +354,63 @@ TEST_P(CacheReference, MatchesReferenceModel)
             const std::uint32_t what = rng.below(100);
             if (what < 70) {
                 const bool write = rng.chance(0.3);
-                ASSERT_EQ(cache.access(addr, write), ref.access(addr))
-                    << "op " << op;
+                const bool hit = ref.access(addr);
+                ASSERT_EQ(cache.access(addr, write), hit) << "op " << op;
+                if (twin) {
+                    ASSERT_EQ(vectorAccess(vec, addr), hit)
+                        << "vector, op " << op;
+                }
             } else if (what < 85) {
-                ASSERT_EQ(cache.contains(addr), ref.contains(addr))
-                    << "op " << op;
+                const bool resident = ref.contains(addr);
+                ASSERT_EQ(cache.contains(addr), resident) << "op " << op;
+                if (twin) {
+                    ASSERT_EQ(vectorContains(vec, addr), resident)
+                        << "vector, op " << op;
+                }
             } else if (what < 99) {
-                ASSERT_EQ(cache.flushLine(addr), ref.flushLine(addr))
+                const bool resident = ref.flushLine(addr);
+                ASSERT_EQ(cache.flushLine(addr), resident)
                     << "op " << op;
+                if (twin) {
+                    ASSERT_EQ(vec.flushLine(addr), resident)
+                        << "vector, op " << op;
+                }
             } else {
                 cache.flushAll();
+                vec.flushAll();
                 ref.flushAll();
             }
-            ASSERT_EQ(cache.stats().hits, ref.stats.hits);
-            ASSERT_EQ(cache.stats().misses, ref.stats.misses);
-            ASSERT_EQ(cache.stats().evictions, ref.stats.evictions);
-            ASSERT_EQ(cache.stats().flushes, ref.stats.flushes);
-            if (op % 1000 == 0) {
-                ASSERT_EQ(cache.residentLines(), ref.residentLines());
+            for (const Cache *c : checked) {
+                ASSERT_EQ(c->stats().hits, ref.stats.hits) << c->name();
+                ASSERT_EQ(c->stats().misses, ref.stats.misses)
+                    << c->name();
+                ASSERT_EQ(c->stats().evictions, ref.stats.evictions)
+                    << c->name();
+                ASSERT_EQ(c->stats().flushes, ref.stats.flushes)
+                    << c->name();
+                if (op % 1000 == 0) {
+                    ASSERT_EQ(c->residentLines(), ref.residentLines())
+                        << c->name();
+                }
             }
         }
-        EXPECT_EQ(cache.residentLines(), ref.residentLines());
+        for (const Cache *c : checked)
+            EXPECT_EQ(c->residentLines(), ref.residentLines())
+                << c->name();
     }
+    if (vectorWays && !twin)
+        GTEST_SKIP() << "the scalar lookup matched; the vector twin "
+                        "needs AVX-512F, which this host lacks";
 }
 
 namespace
 {
 
-/** i7-920 and Xeon 8259CL levels, direct-mapped and 12-way. */
+/**
+ * i7-920 and Xeon 8259CL levels, direct-mapped, 12-way, and the
+ * vector lookup's edges: 4 ways (one partial block), 9 ways (one
+ * lane in the second block) and 17 ways (scalar only).
+ */
 constexpr RefGeometry pow2Ways[] = {
     {"i7_l1", 32 * 1024, 8},
     {"i7_l2", 256 * 1024, 8},
@@ -355,12 +418,15 @@ constexpr RefGeometry pow2Ways[] = {
     {"xeon_l2", 1024 * 1024, 16},
     {"direct", 4096, 1},
     {"direct_104sets", 104 * 64, 1},
+    {"w4", 4 * 64 * 64, 4},
 };
 
 constexpr RefGeometry otherWays[] = {
     {"xeon_llc", (35 * 1024 + 768) * 1024, 11},
     {"w12", 49152, 12},
     {"w12_104sets", 12 * 104 * 64, 12},
+    {"w9", 9 * 64 * 64, 9},
+    {"w17", 17 * 64 * 64, 17},
 };
 
 std::string

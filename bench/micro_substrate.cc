@@ -9,6 +9,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "base/cpu_features.hh"
 #include "bench_support/trial_pool.hh"
 #include "fault/fault_plan.hh"
 #include "fleet/collector.hh"
@@ -139,9 +144,9 @@ void
 BM_CacheAccessHit(benchmark::State &state)
 {
     hw::Cache cache("bench", {32 * 1024, 8, 64});
-    cache.access(0x1000, false);
+    cache.access(0x1000);
     for (auto _ : state)
-        benchmark::DoNotOptimize(cache.access(0x1000, false));
+        benchmark::DoNotOptimize(cache.access(0x1000));
 }
 BENCHMARK(BM_CacheAccessHit);
 
@@ -151,7 +156,7 @@ BM_CacheAccessStream(benchmark::State &state)
     hw::Cache cache("bench", {8 * 1024 * 1024, 16, 64});
     Addr addr = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.access(addr, false));
+        benchmark::DoNotOptimize(cache.access(addr));
         addr += 64;
     }
 }
@@ -173,7 +178,7 @@ BM_CacheEvictLru(benchmark::State &state)
     for (auto _ : state) {
         addr = (tag % 9) * sets * 64;
         ++tag;
-        benchmark::DoNotOptimize(cache.access(addr, false));
+        benchmark::DoNotOptimize(cache.access(addr));
     }
 }
 BENCHMARK(BM_CacheEvictLru);
@@ -186,7 +191,7 @@ BM_CacheAccessNonPow2Sets(benchmark::State &state)
     hw::Cache cache("bench", hw::MachineConfig::xeon8259cl().llc);
     Addr addr = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.access(addr, false));
+        benchmark::DoNotOptimize(cache.access(addr));
         addr += 64;
     }
 }
@@ -311,6 +316,57 @@ BM_RandomStream(benchmark::State &state)
         benchmark::DoNotOptimize(rng.next64());
 }
 BENCHMARK(BM_RandomStream);
+
+// One 192-access fill (the i7-920's memSampleCap) per op from each
+// kind of address stream, over matmul's 9.8 MB matrices with its
+// hot/cold spec (a 128 KB hot set taking 99.5 % of accesses, 4 %
+// writes).  The BM_StreamFill rows time the scalar bodies, which
+// every host runs.  The BM_StreamFillLanes rows time the lane bodies
+// of the random and hot/cold streams (a sequential stream has one
+// body) and exist only on hosts with AVX-512F and AVX-512DQ, so that
+// a runner without them compares no row against a body it cannot run
+// (the lane fill is about 4x the scalar one).
+
+void
+BM_StreamFill(benchmark::State &state,
+              const workload::MemPatternSpec &spec, bool lanes)
+{
+    auto stream = workload::makeAddressStream(spec, 0x10000000, Random(5));
+    std::vector<Addr> out(192);
+    for (auto _ : state) {
+#if defined(__x86_64__)
+        if (lanes)
+            stream->fillLanes(out.data(), out.size());
+        else
+#endif
+            stream->fillScalar(out.data(), out.size());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(out.size()));
+}
+
+[[maybe_unused]] const bool streamFillsRegistered = [] {
+    constexpr std::uint64_t matrices = 3 * 640 * 640 * 8;
+    const std::pair<const char *, workload::MemPatternSpec> specs[] = {
+        {"sequential", workload::MemPatternSpec::sequential(matrices)},
+        {"random", workload::MemPatternSpec::randomUniform(matrices, 0.04)},
+        {"hotcold", workload::MemPatternSpec::hotCold(
+                        128 * 1024, matrices, 0.995, 0.04)},
+    };
+    for (const auto &[kind, spec] : specs) {
+        benchmark::RegisterBenchmark(
+            (std::string("BM_StreamFill/") + kind).c_str(), BM_StreamFill,
+            spec, false);
+        if (spec.kind != workload::MemPatternSpec::Kind::sequential &&
+            hostHasAvx512dq())
+            benchmark::RegisterBenchmark(
+                (std::string("BM_StreamFillLanes/") + kind).c_str(),
+                BM_StreamFill, spec, true);
+    }
+    return true;
+}();
 
 void
 BM_Crc32cFrame(benchmark::State &state)

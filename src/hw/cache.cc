@@ -9,20 +9,6 @@
 namespace klebsim::hw
 {
 
-bool
-hostHasAvx512f()
-{
-#if defined(__x86_64__)
-    static const bool avx512f = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx512f") != 0;
-    }();
-    return avx512f;
-#else
-    return false;
-#endif
-}
-
 Cache::Cache(std::string name, const CacheGeometry &geom)
     : geom_(geom), name_(std::move(name))
 {

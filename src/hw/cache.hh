@@ -48,12 +48,6 @@
 namespace klebsim::hw
 {
 
-/**
- * True when the host CPU has AVX-512F, so Cache::accessAvx512() and
- * containsAvx512() may run.  The check is made once per process.
- */
-bool hostHasAvx512f();
-
 /** Geometry of one cache level. */
 struct CacheGeometry
 {
@@ -109,13 +103,13 @@ class Cache
 
     /**
      * Look up @p addr; on miss, allocate the line (evicting if the
-     * set is full).
+     * set is full).  Loads and stores look alike: no dirty state is
+     * modelled, and a store allocates as a load does.
      * @return true on hit.
      */
     KLEB_HOT bool
-    access(Addr addr, bool write)
+    access(Addr addr)
     {
-        (void)write; // no dirty-state modeling; writes allocate like reads
         const Addr line = addr >> lineShift_;
         Addr *tags = &tags_[setOf(line) * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w) {

@@ -22,8 +22,7 @@ CpuCore::CpuCore(CoreId id, const MachineConfig &cfg,
     : id_(id), cfg_(cfg), eq_(eq), clock_(cfg.coreFreqHz),
       refClock_(cfg.refFreqHz), mem_(cfg, shared_llc), ctx_(nullptr),
       attributedUpTo_(0), busyTime_(0), kernelScratchCursor_(0),
-      memSampleCap_(cfg.memSampleCap), laneAddr_(memSampleCap_),
-      laneWrite_(memSampleCap_)
+      memSampleCap_(cfg.memSampleCap), laneAddr_(memSampleCap_)
 {
     msrs_.attach(&pmu_);
 }
@@ -77,10 +76,9 @@ CpuCore::executeChunk(const WorkChunk &chunk)
         std::uint64_t sampled = 0;
         if (mem_ops > 0 && chunk.stream != nullptr) {
             sampled = std::min<std::uint64_t>(mem_ops, memSampleCap_);
-            // One virtual call fills both SoA lanes; the walk then
-            // reads the addresses as a plain array.
-            chunk.stream->fillBatch(laneAddr_.data(), laneWrite_.data(),
-                                    sampled);
+            // One virtual call fills the lane; the walk then reads
+            // the addresses as a plain array.
+            chunk.stream->fillBatch(laneAddr_.data(), sampled);
             walk = mem_.walk(laneAddr_.data(), sampled);
         }
         double scale =

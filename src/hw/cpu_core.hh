@@ -127,8 +127,8 @@ class CpuCore
 
   private:
     /**
-     * Run one chunk into a Prepared record: fill the SoA lanes with
-     * up to memSampleCap_ of its accesses, walk them through the
+     * Run one chunk into a Prepared record: fill the sample lane
+     * with up to memSampleCap_ of its accesses, walk them through the
      * cache model (MemHierarchy::walk), extrapolate the rest, and
      * cost the chunk in cycles.
      */
@@ -159,15 +159,14 @@ class CpuCore
     std::uint32_t memSampleCap_;
 
     /**
-     * @{ SoA sample lanes, sized memSampleCap_ at construction:
-     * one fillBatch call per chunk fills them contiguously, and the
-     * cache-model walk reads plain arrays instead of making one
-     * virtual call per access.  charge() puts its pollution walk's
-     * line addresses in laneAddr_.
+     * The sample lane, sized memSampleCap_ at construction: one
+     * fillBatch call per chunk fills it with the sampled addresses
+     * (eight at a time on hosts with AVX-512F and AVX-512DQ), and the
+     * cache-model walk reads it as a plain array instead of making
+     * one virtual call per access.  charge() puts its pollution
+     * walk's line addresses here too.
      */
     std::vector<Addr> laneAddr_;
-    std::vector<std::uint8_t> laneWrite_;
-    /** @} */
 };
 
 } // namespace klebsim::hw

@@ -24,13 +24,6 @@ namespace klebsim::hw
 
 class MemHierarchy;
 
-/** One memory reference produced by an AddressStream. */
-struct MemRef
-{
-    Addr addr = 0;
-    bool write = false;
-};
-
 /**
  * Generator of a workload's memory reference stream.  Owned by the
  * workload; the CPU pulls from it while executing a chunk.
@@ -41,14 +34,15 @@ class AddressStream
     virtual ~AddressStream() = default;
 
     /**
-     * Produce the next @p n references into SoA lanes: addresses
-     * into @p addrs, write flags (0/1) into @p writes.  The CPU
-     * makes one call per chunk and then walks the lanes as plain
-     * arrays, so a stream pays one virtual dispatch per chunk, not
-     * one per access.
+     * Write the addresses of the next @p n references into @p addrs.
+     * The CPU makes one call per chunk and then walks the lane as a
+     * plain array, so a stream pays one virtual dispatch per chunk,
+     * not one per access, and may fill several lanes at once (the
+     * workload streams fill eight at a time on hosts with AVX-512F
+     * and AVX-512DQ).  The cache model allocates on reads and writes
+     * alike, so a reference is its address only.
      */
-    virtual void fillBatch(Addr *addrs, std::uint8_t *writes,
-                           std::size_t n) = 0;
+    virtual void fillBatch(Addr *addrs, std::size_t n) = 0;
 };
 
 /**

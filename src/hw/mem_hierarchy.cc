@@ -1,5 +1,6 @@
 #include "mem_hierarchy.hh"
 
+#include "base/cpu_features.hh"
 #include "base/logging.hh"
 
 namespace klebsim::hw
@@ -49,7 +50,7 @@ MemHierarchy::walkScalar(const Addr *addrs, std::size_t n)
 {
     std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const AccessOutcome out = access(addrs[i], false);
+        const AccessOutcome out = access(addrs[i]);
         l1Miss += out.l1Miss;
         l2Miss += out.l2Miss;
         llcMiss += out.llcMiss;
@@ -62,7 +63,7 @@ MemHierarchy::walkNonTemporalScalar(const Addr *addrs, std::size_t n)
 {
     std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const AccessOutcome out = accessNonTemporal(addrs[i], false);
+        const AccessOutcome out = accessNonTemporal(addrs[i]);
         l1Miss += out.l1Miss;
         l2Miss += out.l2Miss;
         llcMiss += out.llcMiss;

@@ -67,28 +67,28 @@ class MemHierarchy
      */
     MemHierarchy(const MachineConfig &cfg, Cache *shared_llc);
 
-    /** Issue one load/store at @p addr. */
+    /** Issue one load or store at @p addr. */
     AccessOutcome
-    access(Addr addr, bool write)
+    access(Addr addr)
     {
         AccessOutcome out;
         const MemLatency &lat = cfg_.latency;
 
-        if (l1_.access(addr, write)) {
+        if (l1_.access(addr)) {
             out.level = MemLevel::l1;
             out.cycles = lat.l1;
             return out;
         }
         out.l1Miss = true;
 
-        if (l2_.access(addr, write)) {
+        if (l2_.access(addr)) {
             out.level = MemLevel::l2;
             out.cycles = lat.l2;
             return out;
         }
         out.l2Miss = true;
 
-        if (llc_->access(addr, write)) {
+        if (llc_->access(addr)) {
             out.level = MemLevel::llc;
             out.cycles = lat.llc;
             return out;
@@ -108,12 +108,12 @@ class MemHierarchy
      * proportion by the chunk engine's access sampling.
      */
     AccessOutcome
-    accessNonTemporal(Addr addr, bool write)
+    accessNonTemporal(Addr addr)
     {
         AccessOutcome out;
         const MemLatency &lat = cfg_.latency;
 
-        if (l1_.access(addr, write)) {
+        if (l1_.access(addr)) {
             out.level = MemLevel::l1;
             out.cycles = lat.l1;
             return out;

@@ -8,6 +8,7 @@
 #include <nmmintrin.h>
 #endif
 
+#include "base/cpu_features.hh"
 #include "base/logging.hh"
 
 namespace klebsim::kleb
@@ -81,11 +82,7 @@ crc32c(const std::uint8_t *data, std::size_t len,
        std::uint32_t seed)
 {
 #if defined(__x86_64__)
-    static const bool sse42 = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("sse4.2") != 0;
-    }();
-    if (sse42)
+    if (hostHasSse42())
         return crc32cSse42(data, len, seed);
 #endif
     return crc32cPortable(data, len, seed);

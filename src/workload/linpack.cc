@@ -59,7 +59,7 @@ makeLinpack(const LinpackParams &params, Addr base, Random rng)
     // Non-temporal streaming stores: almost fully hidden, so the
     // setup phase retires stores at full rate (Fig. 4's surge).
     setup.stallExposureScale = 0.01;
-    setup.mem = MemPatternSpec::sequential(matrix_bytes, 0.55);
+    setup.mem = MemPatternSpec::sequential(matrix_bytes);
     phases.push_back(setup);
 
     // One trial: blocksPerTrial repetitions of load/compute/store.
@@ -81,7 +81,7 @@ makeLinpack(const LinpackParams &params, Addr base, Random rng)
     load.mulFrac = 0.04;
     load.baseIpc = 2.4;
     load.stallExposureScale = 0.04; // prefetched panel streaming
-    load.mem = MemPatternSpec::sequential(matrix_bytes, 0.05);
+    load.mem = MemPatternSpec::sequential(matrix_bytes);
 
     Phase compute;
     compute.name = "compute";
@@ -106,7 +106,7 @@ makeLinpack(const LinpackParams &params, Addr base, Random rng)
     store.branchFrac = 0.10;
     store.baseIpc = 2.2;
     store.stallExposureScale = 0.04;
-    store.mem = MemPatternSpec::sequential(matrix_bytes, 0.85);
+    store.mem = MemPatternSpec::sequential(matrix_bytes);
 
     std::vector<Phase> trial =
         repeatPhases({load, compute, store}, params.blocksPerTrial);

@@ -29,7 +29,7 @@ makeMatMulLoop(const MatMulParams &params, Addr base, Random rng)
     init.branchFrac = 0.12;
     init.baseIpc = 2.0;
     init.stallExposureScale = 0.1; // streaming initialization
-    init.mem = MemPatternSpec::sequential(matrix_bytes, 0.8);
+    init.mem = MemPatternSpec::sequential(matrix_bytes);
 
     Phase mult;
     mult.name = "triple-loop";
@@ -74,7 +74,7 @@ makeMatMulMkl(const MatMulParams &params, Addr base, Random rng)
     init.branchFrac = 0.08;
     init.baseIpc = 2.6;
     init.stallExposureScale = 0.1; // blocked packing streams
-    init.mem = MemPatternSpec::sequential(matrix_bytes, 0.5);
+    init.mem = MemPatternSpec::sequential(matrix_bytes);
 
     Phase gemm;
     gemm.name = "dgemm";

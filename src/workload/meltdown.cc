@@ -131,8 +131,7 @@ MeltdownWorkload::attackRound(hw::MemHierarchy &mem)
     // architecturally squashes everything.
     {
         hw::AccessOutcome leak = mem.access(
-            probeBase_ + static_cast<Addr>(secret_byte) * stride,
-            false);
+            probeBase_ + static_cast<Addr>(secret_byte) * stride);
         // The transient load is squashed: it perturbs the caches but
         // retires nothing, so it is NOT tallied into retired-event
         // counts — only its cache side effects persist.
@@ -145,8 +144,8 @@ MeltdownWorkload::attackRound(hw::MemHierarchy &mem)
     // line (LLC hit or better) reveals the byte.
     int inferred = -1;
     for (int i = 0; i < 256; ++i) {
-        hw::AccessOutcome out = mem.access(
-            probeBase_ + static_cast<Addr>(i) * stride, false);
+        hw::AccessOutcome out =
+            mem.access(probeBase_ + static_cast<Addr>(i) * stride);
         tally(out, false);
         instructions += 8; // rdtsc pair + compare + branch
         if (out.level != hw::MemLevel::dram && inferred < 0)

@@ -81,7 +81,7 @@ PhaseWorkload::nextChunk(hw::MemHierarchy &mem)
         std::uint64_t lines = bytes / 64;
         if (lines <= 32768) {
             for (std::uint64_t i = 0; i < lines; ++i)
-                mem.access(base_ + i * 64, false);
+                mem.access(base_ + i * 64);
         }
     }
     warmPending_ = false;

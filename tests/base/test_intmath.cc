@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/cpu_features.hh"
 #include "base/intmath.hh"
+#include "base/random.hh"
 
 using namespace klebsim;
 
@@ -66,4 +70,55 @@ TEST(IntMath, SaturatingShl)
     EXPECT_EQ(saturatingShl(~std::uint64_t(0), 1),
               ~std::uint64_t(0));
     EXPECT_EQ(saturatingShl(7, -1), ~std::uint64_t(0));
+}
+
+namespace
+{
+
+#if defined(__x86_64__)
+/** @p mod of eight lanes, where hostHasAvx512dq(). */
+[[gnu::target("avx512f,avx512dq")]] void
+laneModulo(const LaneModulo &mod, const std::uint64_t *in,
+           std::uint64_t *out)
+{
+    _mm512_storeu_si512(out, mod(_mm512_loadu_si512(in)));
+}
+#endif
+
+} // namespace
+
+/**
+ * LaneModulo matches % for powers of two and other divisors up to
+ * 2^64 - 1, at the edges of the dividend range and at random
+ * dividends.
+ */
+TEST(IntMath, LaneModuloMatchesRemainder)
+{
+    if (!hostHasAvx512dq())
+        GTEST_SKIP() << "the lane modulo needs AVX-512F and AVX-512DQ, "
+                        "which this host lacks";
+#if defined(__x86_64__)
+    const std::uint64_t top = ~std::uint64_t(0);
+    Random rng(31);
+    for (std::uint64_t d : std::initializer_list<std::uint64_t>{
+             1ULL, 2ULL, 3ULL, 7ULL, 64ULL, 100ULL, 4160ULL, 49152ULL,
+          131072ULL, 9830400ULL, (1ULL << 40) + 8, (1ULL << 53) + 1,
+          (1ULL << 63) - 1, 1ULL << 63, (1ULL << 63) + 1, top - 1, top}) {
+        std::vector<std::uint64_t> xs = {
+            0, 1, d - 1, d, d + 1, 2 * d - 1, (1ULL << 53) - 1,
+            1ULL << 53, (1ULL << 53) + 1, (1ULL << 63) - 1, 1ULL << 63,
+            top - d, top - 1, top};
+        for (int i = 0; i < 1000; ++i)
+            xs.push_back(i % 2 ? rng.next64() : rng.next64() >> (i % 64));
+        const LaneModulo mod(d);
+        for (std::size_t i = 0; i < xs.size(); i += 8) {
+            std::uint64_t in[8], out[8];
+            for (std::size_t j = 0; j < 8; ++j)
+                in[j] = xs[(i + j) % xs.size()];
+            laneModulo(mod, in, out);
+            for (std::size_t j = 0; j < 8; ++j)
+                ASSERT_EQ(out[j], in[j] % d) << in[j] << " % " << d;
+        }
+    }
+#endif
 }

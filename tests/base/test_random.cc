@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "base/cpu_features.hh"
 #include "base/random.hh"
 
 using klebsim::Random;
@@ -186,4 +188,99 @@ TEST(Random, KnownAnswers)
     EXPECT_EQ(child.next32(), 4160501605u);
     EXPECT_EQ(child.next32(), 3285396686u);
     EXPECT_EQ(r.next32(), 3879810155u);
+}
+
+/**
+ * advance(k) lands where k next32() calls do, for jumps within one
+ * table entry (k <= 32) and jumps that chain several.
+ */
+TEST(Random, AdvanceMatchesRepeatedDraws)
+{
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+        for (std::uint64_t k : {0ULL, 1ULL, 2ULL, 7ULL, 8ULL, 9ULL, 31ULL,
+                                32ULL, 192ULL, 384ULL, 1ULL << 20}) {
+            Random jumped(seed * 0x9e3779b97f4a7c15ULL, seed);
+            Random stepped = jumped;
+            jumped.advance(k);
+            for (std::uint64_t i = 0; i < k; ++i)
+                stepped.next32();
+            ASSERT_EQ(jumped, stepped) << "seed " << seed << " k " << k;
+            ASSERT_EQ(jumped.next64(), stepped.next64());
+        }
+    }
+}
+
+/**
+ * chanceBound(p) is the least b with p <= b * 2^-53, so a 53-bit
+ * draw x has x * 2^-53 < p, chance()'s test, exactly when x < b.
+ */
+TEST(Random, ChanceBoundIsExact)
+{
+    for (double p : {std::ldexp(1.0, -60), 1e-9, 0.04, 0.3, 0.5,
+                     std::nextafter(0.5, 0.0), 0.9, 0.99, 0.995,
+                     1.0 - std::ldexp(1.0, -53)}) {
+        const std::uint64_t b = Random::chanceBound(p);
+        EXPECT_LE(p, std::ldexp(static_cast<double>(b), -53)) << p;
+        EXPECT_LT(std::ldexp(static_cast<double>(b - 1), -53), p) << p;
+    }
+    EXPECT_EQ(Random::chanceDraws(0.0), 0u);
+    EXPECT_EQ(Random::chanceDraws(1.0), 0u);
+    EXPECT_EQ(Random::chanceDraws(0.5), 2u);
+}
+
+namespace
+{
+
+#if defined(__x86_64__)
+/** Random::Lanes' peek() as eight integers, where hostHasAvx512dq(). */
+[[gnu::target("avx512f,avx512dq")]] void
+storeLanes(const Random &r, unsigned stride, std::uint64_t *out)
+{
+    _mm512_storeu_si512(out, Random::Lanes(r, stride).peek());
+}
+
+/** The copy in Random::Lanes after skip(@p k). */
+[[gnu::target("avx512f,avx512dq")]] Random
+skipLanes(const Random &r, unsigned stride, std::size_t k)
+{
+    Random::Lanes lanes(r, stride);
+    lanes.skip(k);
+    return lanes.random();
+}
+#endif
+
+} // namespace
+
+/**
+ * Random::Lanes' peek() holds the next64() values that scalar draws
+ * give at draws stride * j (high half) and stride * j + 1 (low
+ * half), and skip(k) lands where stride * k draws do.
+ */
+TEST(Random, LanesMatchScalarDraws)
+{
+    if (!klebsim::hostHasAvx512dq())
+        GTEST_SKIP() << "the lane draw needs AVX-512F and AVX-512DQ, "
+                        "which this host lacks";
+#if defined(__x86_64__)
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+        Random r(seed, seed * 7 + 3);
+        for (int block = 0; block < 8; ++block) {
+            for (unsigned stride : {2u, 4u}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " stride " +
+                             std::to_string(stride));
+                std::uint64_t lanes[8];
+                storeLanes(r, stride, lanes);
+                Random scalar = r;
+                for (unsigned j = 0; j < 8; ++j) {
+                    EXPECT_EQ(lanes[j], scalar.next64()) << "lane " << j;
+                    for (unsigned d = 2; d < stride; ++d)
+                        scalar.next32();
+                    EXPECT_EQ(skipLanes(r, stride, j + 1), scalar)
+                        << "skip " << j + 1;
+                }
+            }
+            r.advance(block * 5 + 1);
+        }
+    }
+#endif
 }

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "base/cpu_features.hh"
 #include "base/random.hh"
 #include "hw/cache.hh"
 
@@ -47,8 +48,8 @@ TEST_P(CacheProperty, ImmediateReuseAlwaysHits)
     Random rng(77);
     for (int i = 0; i < 2000; ++i) {
         Addr a = rng.next64() % (1 << 26);
-        c.access(a, rng.chance(0.3));
-        EXPECT_TRUE(c.access(a, false)) << "addr " << a;
+        c.access(a);
+        EXPECT_TRUE(c.access(a)) << "addr " << a;
     }
 }
 
@@ -58,7 +59,7 @@ TEST_P(CacheProperty, StatsBalance)
     Cache c("p", geom());
     Random rng(78);
     for (int i = 0; i < 5000; ++i)
-        c.access(rng.next64() % (1 << 24), rng.chance(0.5));
+        c.access(rng.next64() % (1 << 24));
     EXPECT_EQ(c.stats().hits + c.stats().misses, 5000u);
     EXPECT_EQ(c.stats().accesses(), 5000u);
 }
@@ -70,12 +71,12 @@ TEST_P(CacheProperty, ResidencyBounded)
     Random rng(79);
     std::uint64_t capacity_lines = geom().sizeBytes / 64;
     for (int i = 0; i < 5000; ++i) {
-        c.access(rng.next64() % (1 << 28), false);
+        c.access(rng.next64() % (1 << 28));
         ASSERT_LE(c.residentLines(), capacity_lines);
     }
     // A long stream fills the cache completely.
     for (Addr a = 0; a < geom().sizeBytes * 4; a += 64)
-        c.access(a, false);
+        c.access(a);
     EXPECT_EQ(c.residentLines(), capacity_lines);
 }
 
@@ -85,7 +86,7 @@ TEST_P(CacheProperty, EvictionAccounting)
     Cache c("p", geom());
     Random rng(80);
     for (int i = 0; i < 4000; ++i)
-        c.access(rng.next64() % (1 << 26), false);
+        c.access(rng.next64() % (1 << 26));
     EXPECT_EQ(c.stats().evictions,
               c.stats().misses - c.residentLines());
 }
@@ -98,7 +99,7 @@ TEST_P(CacheProperty, SmallWorkingSetStable)
     std::uint64_t footprint = geom().sets() * 64;
     for (int round = 0; round < 4; ++round)
         for (Addr a = 0; a < footprint; a += 64)
-            c.access(a, false);
+            c.access(a);
     // After the cold round, everything hits.
     EXPECT_EQ(c.stats().misses, footprint / 64);
 }
@@ -108,12 +109,12 @@ TEST_P(CacheProperty, FlushAllResets)
 {
     Cache c("p", geom());
     for (Addr a = 0; a < 4096; a += 64)
-        c.access(a, false);
+        c.access(a);
     c.flushAll();
     EXPECT_EQ(c.residentLines(), 0u);
     c.resetStats();
     for (Addr a = 0; a < 4096; a += 64)
-        EXPECT_FALSE(c.access(a, false));
+        EXPECT_FALSE(c.access(a));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -353,9 +354,8 @@ TEST_P(CacheReference, MatchesReferenceModel)
             }
             const std::uint32_t what = rng.below(100);
             if (what < 70) {
-                const bool write = rng.chance(0.3);
                 const bool hit = ref.access(addr);
-                ASSERT_EQ(cache.access(addr, write), hit) << "op " << op;
+                ASSERT_EQ(cache.access(addr), hit) << "op " << op;
                 if (twin) {
                     ASSERT_EQ(vectorAccess(vec, addr), hit)
                         << "vector, op " << op;

@@ -57,9 +57,9 @@ TEST_P(MachinePreset, CachesConstructAndOperate)
     MachineConfig cfg = GetParam().make();
     Cache llc("LLC", cfg.llc);
     MemHierarchy mem(cfg, &llc);
-    AccessOutcome cold = mem.access(0x1234000, false);
+    AccessOutcome cold = mem.access(0x1234000);
     EXPECT_EQ(cold.level, MemLevel::dram);
-    AccessOutcome warm = mem.access(0x1234000, false);
+    AccessOutcome warm = mem.access(0x1234000);
     EXPECT_EQ(warm.level, MemLevel::l1);
 }
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "base/cpu_features.hh"
 #include "base/random.hh"
 #include "hw/mem_hierarchy.hh"
 
@@ -30,7 +31,7 @@ struct Fixture
 TEST(MemHierarchy, ColdMissGoesToDram)
 {
     Fixture f;
-    AccessOutcome out = f.mem.access(0x1000, false);
+    AccessOutcome out = f.mem.access(0x1000);
     EXPECT_EQ(out.level, MemLevel::dram);
     EXPECT_TRUE(out.l1Miss);
     EXPECT_TRUE(out.l2Miss);
@@ -41,8 +42,8 @@ TEST(MemHierarchy, ColdMissGoesToDram)
 TEST(MemHierarchy, SecondAccessHitsL1)
 {
     Fixture f;
-    f.mem.access(0x1000, false);
-    AccessOutcome out = f.mem.access(0x1000, false);
+    f.mem.access(0x1000);
+    AccessOutcome out = f.mem.access(0x1000);
     EXPECT_EQ(out.level, MemLevel::l1);
     EXPECT_FALSE(out.l1Miss);
     EXPECT_FALSE(out.l2Miss);
@@ -52,7 +53,7 @@ TEST(MemHierarchy, SecondAccessHitsL1)
 TEST(MemHierarchy, FillPopulatesAllLevels)
 {
     Fixture f;
-    f.mem.access(0x1000, false);
+    f.mem.access(0x1000);
     EXPECT_TRUE(f.mem.l1().contains(0x1000));
     EXPECT_TRUE(f.mem.l2().contains(0x1000));
     EXPECT_TRUE(f.mem.llc().contains(0x1000));
@@ -62,14 +63,14 @@ TEST(MemHierarchy, FillPopulatesAllLevels)
 TEST(MemHierarchy, L2HitAfterL1Eviction)
 {
     Fixture f;
-    f.mem.access(0x1000, false);
+    f.mem.access(0x1000);
     // Evict from L1 by filling its set: L1 has 64 sets, so stride
     // 64*64 = 4096 collides; 8 ways => 9 fills evict the line.
     for (int i = 1; i <= 9; ++i)
-        f.mem.access(0x1000 + static_cast<Addr>(i) * 4096, false);
+        f.mem.access(0x1000 + static_cast<Addr>(i) * 4096);
     ASSERT_FALSE(f.mem.l1().contains(0x1000));
     ASSERT_TRUE(f.mem.l2().contains(0x1000));
-    AccessOutcome out = f.mem.access(0x1000, false);
+    AccessOutcome out = f.mem.access(0x1000);
     EXPECT_EQ(out.level, MemLevel::l2);
     EXPECT_TRUE(out.l1Miss);
     EXPECT_FALSE(out.l2Miss);
@@ -79,12 +80,12 @@ TEST(MemHierarchy, L2HitAfterL1Eviction)
 TEST(MemHierarchy, ClflushInvalidatesEverywhere)
 {
     Fixture f;
-    f.mem.access(0x2000, false);
+    f.mem.access(0x2000);
     AccessOutcome flush = f.mem.clflush(0x2000);
     EXPECT_EQ(flush.cycles, f.cfg.latency.clflush);
     EXPECT_EQ(flush.level, MemLevel::l1); // nearest level holding it
     EXPECT_EQ(f.mem.probe(0x2000), MemLevel::dram);
-    AccessOutcome out = f.mem.access(0x2000, false);
+    AccessOutcome out = f.mem.access(0x2000);
     EXPECT_EQ(out.level, MemLevel::dram);
 }
 
@@ -127,9 +128,9 @@ TEST(MemHierarchy, SharedLlcVisibleAcrossHierarchies)
     MemHierarchy core0(cfg, &llc);
     MemHierarchy core1(cfg, &llc);
 
-    core0.access(0x5000, false);
+    core0.access(0x5000);
     // Core 1's private caches are cold but the LLC is shared.
-    AccessOutcome out = core1.access(0x5000, false);
+    AccessOutcome out = core1.access(0x5000);
     EXPECT_EQ(out.level, MemLevel::llc);
     EXPECT_TRUE(out.l2Miss);
     EXPECT_FALSE(out.llcMiss);

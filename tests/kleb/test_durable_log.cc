@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/cpu_features.hh"
 #include "base/random.hh"
 #include "kleb/durable_log.hh"
 #include "kleb/log_recovery.hh"
@@ -74,16 +75,6 @@ using CrcFn = std::uint32_t (*)(const std::uint8_t *, std::size_t,
  */
 const std::pair<const char *, CrcFn> crcPaths[] = {
     {"crc32c", crc32c}, {"crc32cPortable", crc32cPortable}};
-
-bool
-hostHasSse42()
-{
-#if defined(__x86_64__)
-    return __builtin_cpu_supports("sse4.2") != 0;
-#else
-    return false;
-#endif
-}
 
 } // namespace
 

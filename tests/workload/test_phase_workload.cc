@@ -40,8 +40,7 @@ Addr
 firstAddr(hw::AddressStream &s)
 {
     Addr addr = 0;
-    std::uint8_t write = 0;
-    s.fillBatch(&addr, &write, 1);
+    s.fillBatch(&addr, 1);
     return addr;
 }
 

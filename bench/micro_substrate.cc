@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "kleb/durable_log.hh"
 #include "sim/event_queue.hh"
 #include "workload/address_streams.hh"
+#include "workload/docker.hh"
 #include "workload/microbench.hh"
 
 using namespace klebsim;
@@ -136,9 +138,9 @@ BM_EventQueueMixedPriority(benchmark::State &state)
 BENCHMARK(BM_EventQueueMixedPriority);
 
 // The BM_Cache* rows time the scalar lookup, Cache::access().  The
-// sampled walks take the vector lookup on hosts with AVX-512F
-// (MemHierarchy::walk); BM_ChunkBatched times whichever the host
-// selects.
+// sampled walks take the level-at-a-time vector walk on hosts with
+// AVX-512F (MemHierarchy::walk): BM_Walk times it alone, and
+// BM_ChunkBatched times whichever walk the host selects.
 
 void
 BM_CacheAccessHit(benchmark::State &state)
@@ -243,9 +245,9 @@ void
 BM_ChunkBatched(benchmark::State &state)
 {
     // 64 streamed (memory-sampling) chunks through the chunk engine:
-    // one virtual fillBatch call per chunk fills the SoA lanes, and
-    // MemHierarchy::walk reads them as plain arrays, through the
-    // vector lookup where the host has AVX-512F.
+    // one virtual fillBatch call per chunk fills the sample lane, and
+    // MemHierarchy::walk reads it as a plain array, through the
+    // vector walk where the host has AVX-512F.
     hw::MachineConfig cfg = hw::MachineConfig::corei7_920();
     workload::MemPatternSpec pat =
         workload::MemPatternSpec::randomUniform(64 * 1024 * 1024);
@@ -284,6 +286,72 @@ BM_ChunkBatched(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_ChunkBatched);
+
+// The BM_Walk rows time MemHierarchy::walk alone: one 192-address
+// lane per op (the i7-920's memSampleCap), cycling through 4,096
+// lanes drawn beforehand from one address stream, on a hierarchy
+// warmed by one pass over them.  The lanes are matmul's hot/cold
+// pattern (a 128 KB hot set taking 99.5 % of accesses over its
+// 9.8 MB matrices), uniform over 24 MB and uniform over 16 KB (which
+// stays in L1) on the i7-920, and nginx's steady phase (Fig. 5) on
+// the Xeon 8259CL.  The walk consumes its lane, so each op first
+// copies its lane into the walked one.  The rows exist only on hosts
+// with AVX-512F, where walk() takes the vector body, so that a
+// runner without it compares no row against a body it cannot run.
+
+void
+BM_Walk(benchmark::State &state, const hw::MachineConfig &cfg,
+        const workload::MemPatternSpec &spec)
+{
+    constexpr std::size_t laneLen = 192, lanes = 4096;
+    auto stream = workload::makeAddressStream(spec, 0x10000000, Random(5));
+    std::vector<Addr> drawn(laneLen * lanes);
+    for (std::size_t l = 0; l < lanes; ++l)
+        stream->fillBatch(drawn.data() + l * laneLen, laneLen);
+    hw::Cache llc("LLC", cfg.llc);
+    hw::MemHierarchy mem(cfg, &llc);
+    std::vector<Addr> lane(laneLen);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        std::copy_n(drawn.data() + l * laneLen, laneLen, lane.data());
+        mem.walk(lane.data(), laneLen);
+    }
+    std::size_t next = 0;
+    std::uint64_t misses = 0;
+    for (auto _ : state) {
+        std::copy_n(drawn.data() + next * laneLen, laneLen, lane.data());
+        misses += mem.walk(lane.data(), laneLen).l1Miss;
+        next = (next + 1) % lanes;
+    }
+    benchmark::DoNotOptimize(misses);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(laneLen));
+}
+
+[[maybe_unused]] const bool walksRegistered = [] {
+    if (!hostHasAvx512f())
+        return false;
+    constexpr std::uint64_t kb = 1024, mb = 1024 * kb;
+    const hw::MachineConfig i7 = hw::MachineConfig::corei7_920();
+    const workload::DockerImageSpec &nginx =
+        workload::dockerImage("nginx");
+    const std::pair<std::string, workload::MemPatternSpec> i7Lanes[] = {
+        {"hotcold", workload::MemPatternSpec::hotCold(
+                        128 * kb, 3 * 640 * 640 * 8, 0.995, 0.04)},
+        {"uniform24m", workload::MemPatternSpec::randomUniform(24 * mb)},
+        {"uniform16k", workload::MemPatternSpec::randomUniform(16 * kb)},
+    };
+    for (const auto &[lanes, spec] : i7Lanes)
+        benchmark::RegisterBenchmark(
+            ("BM_Walk/" + lanes + "/" + i7.name).c_str(), BM_Walk, i7,
+            spec);
+    const hw::MachineConfig xeon = hw::MachineConfig::xeon8259cl();
+    benchmark::RegisterBenchmark(
+        ("BM_Walk/nginx/" + xeon.name).c_str(), BM_Walk, xeon,
+        workload::MemPatternSpec::hotCold(nginx.hotBytes,
+                                          nginx.footprintBytes,
+                                          nginx.hotProbability, 0.3));
+    return true;
+}();
 
 void
 BM_FleetParallelPhase1(benchmark::State &state)

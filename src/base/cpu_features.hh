@@ -16,8 +16,8 @@ namespace klebsim
 bool hostHasSse42();
 
 /**
- * AVX-512F, so hw::Cache::accessAvx512() and containsAvx512() may
- * run.
+ * AVX-512F, so hw::Cache::accessLaneAvx512() and probeLaneAvx512()
+ * may run.
  */
 bool hostHasAvx512f();
 

@@ -22,12 +22,13 @@
  * beyond the tag is needed.  Both machine presets (i7-920, Xeon
  * 8259CL) are modeled with LRU at every level.
  *
- * A cache of at most 16 ways also has a vector lookup for hosts with
- * AVX-512F (accessAvx512(), containsAvx512()): a set is at most two
- * 8-lane blocks of tags, so one masked compare finds the hit way and
- * one masked store of the set shifted by a lane does the move to
- * front.  It gives the same results, stats and tags as access() and
- * contains(), which stay the only lookup on other hosts.
+ * A cache of at most 16 ways also has batch lookups for hosts with
+ * AVX-512F (accessLaneAvx512(), probeLaneAvx512()), which look up a
+ * whole lane of addresses in order and move its misses to the front:
+ * a set is at most two 8-lane blocks of tags, so one compare finds
+ * the hit way and one store of the set shifted by a lane does the
+ * move to front.  They give the same results, stats and tags as
+ * access() and contains(), which stay the only lookup on other hosts.
  */
 
 #ifndef KLEBSIM_HW_CACHE_HH
@@ -37,10 +38,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 #include "base/thread_safety.hh"
 #include "base/types.hh"
@@ -139,76 +136,37 @@ class Cache
         return false;
     }
 
-    /** Most ways a cache may have for the vector lookup. */
+    /** Most ways a cache may have for the vector lookups. */
     static constexpr std::uint32_t vectorMaxWays = 16;
 
 #if defined(__x86_64__)
     /**
-     * access() for a cache of at most vectorMaxWays ways on a host
-     * with AVX-512F: the same result, stats and tags.
+     * access() each of the @p n addresses of @p lane in order, for a
+     * cache of at most vectorMaxWays ways on a host with AVX-512F:
+     * the same results, stats and tags.  The addresses that missed
+     * are moved, in order, to the front of the lane; the rest of the
+     * lane is left unspecified.
+     * @return the number of misses
      */
-    [[gnu::target("avx512f")]] bool
-    accessAvx512(Addr addr)
-    {
-        const Addr line = addr >> lineShift_;
-        Addr *tags = &tags_[setOf(line) * ways_];
-        const __m512i lineVec =
-            _mm512_set1_epi64(static_cast<long long>(line));
-        // Ways [0, 8) and [8, ways_) as two blocks.  Lanes past the
-        // last way load as 0, which line 0 would match, so the
-        // compare is masked too.
-        const unsigned valid = (1u << ways_) - 1;
-        const auto lo = static_cast<__mmask8>(valid);
-        const auto hi = static_cast<__mmask8>(valid >> 8);
-        Addr *upper = upperBlock(tags);
-        const __m512i t0 = _mm512_maskz_loadu_epi64(lo, tags);
-        const __m512i t1 = _mm512_maskz_loadu_epi64(hi, upper);
-        const unsigned hits =
-            _mm512_mask_cmpeq_epi64_mask(lo, t0, lineVec) |
-            (unsigned(_mm512_mask_cmpeq_epi64_mask(hi, t1, lineVec))
-             << 8);
+    [[gnu::target("avx512f")]] std::size_t
+    accessLaneAvx512(Addr *lane, std::size_t n);
 
-        std::uint32_t way;
-        if (hits != 0) {
-            way = static_cast<std::uint32_t>(__builtin_ctz(hits));
-            ++stats_.hits;
-        } else {
-            way = ways_ - 1;
-            ++stats_.misses;
-            stats_.evictions += tags[way] != emptyTag;
-        }
-        // moveToFront(tags, way, line): each block shifted up by one
-        // lane, the line entering the first and the first's last lane
-        // entering the second, stored into ways [0, way] only.  The
-        // all-lanes maskz form of alignr reads no undefined vector.
-        const unsigned moved = (2u << way) - 1;
-        _mm512_mask_storeu_epi64(
-            tags, static_cast<__mmask8>(moved),
-            _mm512_maskz_alignr_epi64(0xFF, t0, lineVec, 7));
-        _mm512_mask_storeu_epi64(
-            upper, static_cast<__mmask8>(moved >> 8),
-            _mm512_maskz_alignr_epi64(0xFF, t1, t0, 7));
-        return hits != 0;
-    }
-
-    /** contains() for the caches and hosts accessAvx512() serves. */
-    [[gnu::target("avx512f")]] bool
-    containsAvx512(Addr addr) const
-    {
-        const Addr line = addr >> lineShift_;
-        const Addr *tags = &tags_[setOf(line) * ways_];
-        const __m512i lineVec =
-            _mm512_set1_epi64(static_cast<long long>(line));
-        const unsigned valid = (1u << ways_) - 1;
-        const auto lo = static_cast<__mmask8>(valid);
-        const auto hi = static_cast<__mmask8>(valid >> 8);
-        return (_mm512_mask_cmpeq_epi64_mask(
-                    lo, _mm512_maskz_loadu_epi64(lo, tags), lineVec) |
-                _mm512_mask_cmpeq_epi64_mask(
-                    hi, _mm512_maskz_loadu_epi64(hi, upperBlock(tags)),
-                    lineVec)) != 0;
-    }
+    /**
+     * contains() for each of the @p n addresses of @p lane, as
+     * accessLaneAvx512() serves access(): the addresses not resident
+     * are moved, in order, to the front of the lane.
+     * @return their number
+     */
+    [[gnu::target("avx512f")]] std::size_t
+    probeLaneAvx512(Addr *lane, std::size_t n) const;
 #endif
+
+    /**
+     * True when @p other has the same geometry and every set holds
+     * the same lines in the same recency order.  Stats and names are
+     * not compared.
+     */
+    bool sameContents(const Cache &other) const;
 
     /**
      * Invalidate the line containing @p addr (CLFLUSH semantics).
@@ -238,18 +196,16 @@ class Cache
         return pow2Sets_ ? (line & (numSets_ - 1)) : line % numSets_;
     }
 
+#if defined(__x86_64__)
     /**
-     * Ways [8, 16) of the set at @p tags for the vector lookup.  A
-     * set of at most 8 ways masks that block off entirely, and it is
-     * then the set itself, so that no pointer past the tag array is
-     * formed.
+     * The body of accessLaneAvx512() for sets of @p Blocks whole
+     * 8-lane blocks (1 or 2), which it loads and stores at full
+     * width, or for sets of any width under lane masks (0).
      */
-    template <typename T>
-    T *
-    upperBlock(T *tags) const
-    {
-        return ways_ > 8 ? tags + 8 : tags;
-    }
+    template <unsigned Blocks>
+    [[gnu::target("avx512f")]] std::size_t
+    accessLane(Addr *lane, std::size_t n);
+#endif
 
     /**
      * Drop way @p way of a set, shift the ways before it down by one

@@ -77,7 +77,7 @@ CpuCore::executeChunk(const WorkChunk &chunk)
         if (mem_ops > 0 && chunk.stream != nullptr) {
             sampled = std::min<std::uint64_t>(mem_ops, memSampleCap_);
             // One virtual call fills the lane; the walk then reads
-            // the addresses as a plain array.
+            // the addresses as a plain array and consumes them.
             chunk.stream->fillBatch(laneAddr_.data(), sampled);
             walk = mem_.walk(laneAddr_.data(), sampled);
         }

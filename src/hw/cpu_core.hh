@@ -164,7 +164,9 @@ class CpuCore
      * (eight at a time on hosts with AVX-512F and AVX-512DQ), and the
      * cache-model walk reads it as a plain array instead of making
      * one virtual call per access.  charge() puts its pollution
-     * walk's line addresses here too.
+     * walk's line addresses here too.  The walk consumes the lane
+     * (the vector walk moves each level's misses to its front), so
+     * every chunk and every charge fills it afresh.
      */
     std::vector<Addr> laneAddr_;
 };

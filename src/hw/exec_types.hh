@@ -39,8 +39,9 @@ class AddressStream
      * plain array, so a stream pays one virtual dispatch per chunk,
      * not one per access, and may fill several lanes at once (the
      * workload streams fill eight at a time on hosts with AVX-512F
-     * and AVX-512DQ).  The cache model allocates on reads and writes
-     * alike, so a reference is its address only.
+     * and AVX-512DQ).  The walk consumes the lane, so every chunk
+     * fills it afresh.  The cache model allocates on reads and
+     * writes alike, so a reference is its address only.
      */
     virtual void fillBatch(Addr *addrs, std::size_t n) = 0;
 };

@@ -14,23 +14,23 @@ MemHierarchy::MemHierarchy(const MachineConfig &cfg, Cache *shared_llc)
 }
 
 WalkCounts
-MemHierarchy::walk(const Addr *addrs, std::size_t n)
+MemHierarchy::walk(Addr *lane, std::size_t n)
 {
 #if defined(__x86_64__)
     if (vectorWalk())
-        return walkAvx512(addrs, n);
+        return walkAvx512(lane, n);
 #endif
-    return walkScalar(addrs, n);
+    return walkScalar(lane, n);
 }
 
 WalkCounts
-MemHierarchy::walkNonTemporal(const Addr *addrs, std::size_t n)
+MemHierarchy::walkNonTemporal(Addr *lane, std::size_t n)
 {
 #if defined(__x86_64__)
     if (vectorWalk())
-        return walkNonTemporalAvx512(addrs, n);
+        return walkNonTemporalAvx512(lane, n);
 #endif
-    return walkNonTemporalScalar(addrs, n);
+    return walkNonTemporalScalar(lane, n);
 }
 
 bool
@@ -42,8 +42,9 @@ MemHierarchy::vectorWalk() const
            llc_->geometry().ways <= Cache::vectorMaxWays;
 }
 
-// The walk bodies are 64-byte aligned, as is each address stream's
-// fillBatch(): see workload/address_streams.cc.
+// The walk bodies are 64-byte aligned, as are the cache's lane
+// lookups (cache.cc) and each address stream's fill bodies: see
+// workload/address_streams.cc.
 
 [[gnu::aligned(64)]] WalkCounts
 MemHierarchy::walkScalar(const Addr *addrs, std::size_t n)
@@ -72,37 +73,28 @@ MemHierarchy::walkNonTemporalScalar(const Addr *addrs, std::size_t n)
 }
 
 #if defined(__x86_64__)
+// Level at a time.  A level's lookups are exactly the previous
+// level's misses in lane order, and nothing else touches the three
+// caches during one walk, so each cache sees the same sequence of
+// lookups as in the scalar body and ends with the same tags and
+// stats (DESIGN.md §12).
+
 [[gnu::target("avx512f"), gnu::aligned(64)]] WalkCounts
-MemHierarchy::walkAvx512(const Addr *addrs, std::size_t n)
+MemHierarchy::walkAvx512(Addr *lane, std::size_t n)
 {
-    std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (l1_.accessAvx512(addrs[i]))
-            continue;
-        ++l1Miss;
-        if (l2_.accessAvx512(addrs[i]))
-            continue;
-        ++l2Miss;
-        llcMiss += !llc_->accessAvx512(addrs[i]);
-    }
-    return {l1Miss, l2Miss, llcMiss};
+    const std::size_t l1Miss = l1_.accessLaneAvx512(lane, n);
+    const std::size_t l2Miss = l2_.accessLaneAvx512(lane, l1Miss);
+    return {l1Miss, l2Miss, llc_->accessLaneAvx512(lane, l2Miss)};
 }
 
 [[gnu::target("avx512f"), gnu::aligned(64)]] WalkCounts
-MemHierarchy::walkNonTemporalAvx512(const Addr *addrs, std::size_t n)
+MemHierarchy::walkNonTemporalAvx512(Addr *lane, std::size_t n)
 {
-    std::uint64_t l1Miss = 0, l2Miss = 0, llcMiss = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        // Only L1 allocates, as in accessNonTemporal().
-        if (l1_.accessAvx512(addrs[i]))
-            continue;
-        ++l1Miss;
-        if (l2_.containsAvx512(addrs[i]))
-            continue;
-        ++l2Miss;
-        llcMiss += !llc_->containsAvx512(addrs[i]);
-    }
-    return {l1Miss, l2Miss, llcMiss};
+    // Only L1 allocates, as in accessNonTemporal(); the deeper levels
+    // are probed, so the order of their probes changes no answer.
+    const std::size_t l1Miss = l1_.accessLaneAvx512(lane, n);
+    const std::size_t l2Miss = l2_.probeLaneAvx512(lane, l1Miss);
+    return {l1Miss, l2Miss, llc_->probeLaneAvx512(lane, l2Miss)};
 }
 #endif
 

@@ -139,15 +139,17 @@ class MemHierarchy
     }
 
     /**
-     * access() each of @p n addresses in order and count the misses
-     * at each level.  The vector body runs when vectorWalk() holds,
-     * the scalar body otherwise; both leave the same counts, stats
-     * and tags.
+     * access() each of the @p n addresses of @p lane in order and
+     * count the misses at each level.  The vector body runs when
+     * vectorWalk() holds, the scalar body otherwise; both leave the
+     * same counts, stats and tags.  The walk consumes its lane: the
+     * vector body reorders it in place, so its contents are
+     * unspecified on return.
      */
-    WalkCounts walk(const Addr *addrs, std::size_t n);
+    WalkCounts walk(Addr *lane, std::size_t n);
 
     /** walk() through accessNonTemporal(). */
-    WalkCounts walkNonTemporal(const Addr *addrs, std::size_t n);
+    WalkCounts walkNonTemporal(Addr *lane, std::size_t n);
 
     /**
      * True when walk() and walkNonTemporal() take their vector
@@ -159,16 +161,18 @@ class MemHierarchy
     /**
      * @{ The two bodies of walk() and walkNonTemporal(), public so
      * that tests can run both on one host.  The scalar ones call
-     * access() and accessNonTemporal(); the vector ones need
-     * vectorWalk().
+     * access() and accessNonTemporal() address by address.  The
+     * vector ones need vectorWalk() and go level at a time: one
+     * batch lookup per level over the lane, each leaving its misses,
+     * in order, at the front of the lane for the next.
      */
     WalkCounts walkScalar(const Addr *addrs, std::size_t n);
     WalkCounts walkNonTemporalScalar(const Addr *addrs, std::size_t n);
 #if defined(__x86_64__)
     [[gnu::target("avx512f")]] WalkCounts
-    walkAvx512(const Addr *addrs, std::size_t n);
+    walkAvx512(Addr *lane, std::size_t n);
     [[gnu::target("avx512f")]] WalkCounts
-    walkNonTemporalAvx512(const Addr *addrs, std::size_t n);
+    walkNonTemporalAvx512(Addr *lane, std::size_t n);
 #endif
     /** @} */
 

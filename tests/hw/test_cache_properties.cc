@@ -283,29 +283,30 @@ class CacheReference : public ::testing::TestWithParam<RefParam>
 {
 };
 
-/** Cache::accessAvx512(); only called where hostHasAvx512f(). */
-bool
-vectorAccess(Cache &cache, Addr addr)
+/**
+ * Cache::accessLaneAvx512() over @p lane, cut to the misses it
+ * leaves at the front; only called where hostHasAvx512f().
+ */
+void
+vectorAccess(Cache &cache, std::vector<Addr> &lane)
 {
 #if defined(__x86_64__)
-    return cache.accessAvx512(addr);
+    lane.resize(cache.accessLaneAvx512(lane.data(), lane.size()));
 #else
     (void)cache;
-    (void)addr;
-    return false;
+    (void)lane;
 #endif
 }
 
-/** Cache::containsAvx512(); only called where hostHasAvx512f(). */
-bool
-vectorContains(const Cache &cache, Addr addr)
+/** Cache::probeLaneAvx512() as vectorAccess() runs accessLaneAvx512(). */
+void
+vectorProbe(const Cache &cache, std::vector<Addr> &lane)
 {
 #if defined(__x86_64__)
-    return cache.containsAvx512(addr);
+    lane.resize(cache.probeLaneAvx512(lane.data(), lane.size()));
 #else
     (void)cache;
-    (void)addr;
-    return false;
+    (void)lane;
 #endif
 }
 
@@ -314,12 +315,16 @@ vectorContains(const Cache &cache, Addr addr)
 /**
  * Property: for 16 seeds, a seeded mix of access, contains,
  * flushLine and flushAll gives the same result, the same stats and
- * the same residency in hw::Cache and in the reference model.  The
+ * the same residency in hw::Cache and in the reference model.
+ * Accesses and probes come in runs of 1 to 16 addresses.  The
  * addresses crowd a few sets (the first, the last and two inside),
  * so full sets and evictions occur even in an LLC, and some sit near
  * the top of the address space.  Where the host has AVX-512F and the
- * cache at most Cache::vectorMaxWays ways, a twin cache replays every
- * op through the vector lookup under the same assertions.
+ * cache at most Cache::vectorMaxWays ways, a twin cache takes each
+ * run as one batch lookup (accessLaneAvx512(), probeLaneAvx512()),
+ * which must leave the run's misses, in order, at the front of the
+ * lane, under the same assertions, and hold the same tags in the
+ * same recency order as the scalar cache.
  */
 TEST_P(CacheReference, MatchesReferenceModel)
 {
@@ -339,35 +344,41 @@ TEST_P(CacheReference, MatchesReferenceModel)
         std::vector<const Cache *> checked{&cache};
         if (twin)
             checked.push_back(&vec);
-        for (int op = 0; op < 3000; ++op) {
-            Addr addr;
+        auto draw = [&]() -> Addr {
             const std::uint32_t kind = rng.below(8);
-            if (kind == 0) {
-                addr = rng.next64();
-            } else if (kind == 1) {
-                addr = ~Addr(0) - rng.below(1u << 16);
-            } else {
-                const Addr line =
-                    rng.below(geom.ways + 3) * sets +
-                    hotSets[rng.below(4)];
-                addr = line * 64 + rng.below(64);
-            }
+            if (kind == 0)
+                return rng.next64();
+            if (kind == 1)
+                return ~Addr(0) - rng.below(1u << 16);
+            const Addr line =
+                rng.below(geom.ways + 3) * sets + hotSets[rng.below(4)];
+            return line * 64 + rng.below(64);
+        };
+        for (int op = 0; op < 3000; ++op) {
             const std::uint32_t what = rng.below(100);
-            if (what < 70) {
-                const bool hit = ref.access(addr);
-                ASSERT_EQ(cache.access(addr), hit) << "op " << op;
-                if (twin) {
-                    ASSERT_EQ(vectorAccess(vec, addr), hit)
-                        << "vector, op " << op;
+            if (what < 85) {
+                const bool probe = what >= 70;
+                std::vector<Addr> run(1 + rng.below(16));
+                for (Addr &a : run)
+                    a = draw();
+                std::vector<Addr> missed;
+                for (Addr a : run) {
+                    const bool hit = probe ? ref.contains(a) : ref.access(a);
+                    ASSERT_EQ(probe ? cache.contains(a) : cache.access(a),
+                              hit)
+                        << "op " << op;
+                    if (!hit)
+                        missed.push_back(a);
                 }
-            } else if (what < 85) {
-                const bool resident = ref.contains(addr);
-                ASSERT_EQ(cache.contains(addr), resident) << "op " << op;
                 if (twin) {
-                    ASSERT_EQ(vectorContains(vec, addr), resident)
-                        << "vector, op " << op;
+                    if (probe)
+                        vectorProbe(vec, run);
+                    else
+                        vectorAccess(vec, run);
+                    ASSERT_EQ(run, missed) << "vector, op " << op;
                 }
             } else if (what < 99) {
+                const Addr addr = draw();
                 const bool resident = ref.flushLine(addr);
                 ASSERT_EQ(cache.flushLine(addr), resident)
                     << "op " << op;
@@ -393,10 +404,16 @@ TEST_P(CacheReference, MatchesReferenceModel)
                         << c->name();
                 }
             }
+            if (twin && op % 100 == 0) {
+                ASSERT_TRUE(vec.sameContents(cache)) << "op " << op;
+            }
         }
         for (const Cache *c : checked)
             EXPECT_EQ(c->residentLines(), ref.residentLines())
                 << c->name();
+        if (twin) {
+            EXPECT_TRUE(vec.sameContents(cache));
+        }
     }
     if (vectorWays && !twin)
         GTEST_SKIP() << "the scalar lookup matched; the vector twin "
@@ -408,8 +425,10 @@ namespace
 
 /**
  * i7-920 and Xeon 8259CL levels, direct-mapped, 12-way, and the
- * vector lookup's edges: 4 ways (one partial block), 9 ways (one
- * lane in the second block) and 17 ways (scalar only).
+ * vector lookup's edges: 8 and 16 ways (whole blocks, stored at full
+ * width), 11 ways (the Xeon LLC, under masks), 4 ways (one partial
+ * block), 9 ways (one lane in the second block) and 17 ways (scalar
+ * only).
  */
 constexpr RefGeometry pow2Ways[] = {
     {"i7_l1", 32 * 1024, 8},

@@ -203,9 +203,9 @@ TEST(ChunkCostTable, StallExposureChangeInvalidatesEntry)
 
 TEST(ChunkEngine, SampleCapLatchedAtConstruction)
 {
-    // The SoA sample lanes are sized from memSampleCap when the core
-    // is built.  Raising the cap in the config afterwards must not
-    // raise the per-chunk sample count past them: the chunk still
+    // The sampled-address lane is sized from memSampleCap when the
+    // core is built.  Raising the cap in the config afterwards must
+    // not raise the per-chunk sample count past it: the chunk still
     // issues exactly the construction-time cap of L1 lookups.
     Fixture f;
     const std::uint32_t cap = f.cfg.memSampleCap;
@@ -246,7 +246,7 @@ struct Fnv1a
 TEST(ChunkEngine, MixedWorkloadKnownAnswers)
 {
     // 16 seeds of a workload mixing repeated compute chunks, streamed
-    // memory chunks (sampled through the SoA lanes), pre-executed
+    // memory chunks (sampled through the address lane), pre-executed
     // chunks and a flops chunk, across shape changes.  Each seed's
     // total ticks, instructions, flops and every event total are
     // folded into one FNV-1a digest and compared with a recorded

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "base/cpu_features.hh"
@@ -189,7 +191,10 @@ struct LaneSource
     std::uint64_t seq = 0;
 };
 
-/** Expect the same counts, per-level stats and residency. */
+/**
+ * Expect the same per-level stats, residency and tags, each set's in
+ * the same recency order.
+ */
 void
 expectSameState(const MemHierarchy &a, const MemHierarchy &b)
 {
@@ -202,14 +207,37 @@ expectSameState(const MemHierarchy &a, const MemHierarchy &b)
         EXPECT_EQ(as[i]->stats().evictions, bs[i]->stats().evictions);
         EXPECT_EQ(as[i]->stats().flushes, bs[i]->stats().flushes);
         EXPECT_EQ(as[i]->residentLines(), bs[i]->residentLines());
+        EXPECT_TRUE(as[i]->sameContents(*bs[i]));
     }
 }
+
+#if defined(__x86_64__)
+/**
+ * Walk @p lane through the scalar body of @p t's scalar twin and the
+ * vector body of its vector twin (the allocating walks, or the
+ * non-temporal ones), expect the same counts and return them.
+ */
+WalkCounts
+walkBoth(TwinHierarchies &t, std::vector<Addr> lane, bool nonTemporal)
+{
+    const WalkCounts s =
+        nonTemporal ? t.scalar.walkNonTemporalScalar(lane.data(), lane.size())
+                    : t.scalar.walkScalar(lane.data(), lane.size());
+    const WalkCounts v =
+        nonTemporal ? t.vector.walkNonTemporalAvx512(lane.data(), lane.size())
+                    : t.vector.walkAvx512(lane.data(), lane.size());
+    EXPECT_EQ(s.l1Miss, v.l1Miss);
+    EXPECT_EQ(s.l2Miss, v.l2Miss);
+    EXPECT_EQ(s.llcMiss, v.llcMiss);
+    return s;
+}
+#endif
 
 } // namespace
 
 /**
- * The vector walk bodies leave the same counts, stats and residency
- * as the scalar ones, on the i7-920 (8/8/16 ways) and the Xeon
+ * The vector walk bodies leave the same counts, stats, residency and
+ * tags as the scalar ones, on the i7-920 (8/8/16 ways) and the Xeon
  * 8259CL (8/16/11 ways, modulo-indexed LLC).  Batches of 192 lanes,
  * each of one pattern, interleave with charge-style non-temporal
  * walks over a kernel scratch region.
@@ -230,26 +258,18 @@ TEST(MemHierarchy, VectorWalkMatchesScalarWalk)
         constexpr std::uint64_t scratchLines = 1024;
         std::uint64_t cursor = 0;
         for (int batch = 0; batch < 600; ++batch) {
-            std::vector<Addr> a = src.batch(batch % 3, 192);
-            WalkCounts s = t.scalar.walkScalar(a.data(), a.size());
-            WalkCounts v = t.vector.walkAvx512(a.data(), a.size());
-            ASSERT_EQ(s.l1Miss, v.l1Miss) << "batch " << batch;
-            ASSERT_EQ(s.l2Miss, v.l2Miss) << "batch " << batch;
-            ASSERT_EQ(s.llcMiss, v.llcMiss) << "batch " << batch;
-
+            SCOPED_TRACE("batch " + std::to_string(batch));
+            walkBoth(t, src.batch(batch % 3, 192), false);
             if (batch % 4 == 0) {
                 std::vector<Addr> nt(96);
                 for (Addr &x : nt) {
                     x = scratch + cursor * 64;
                     cursor = (cursor + 1) % scratchLines;
                 }
-                s = t.scalar.walkNonTemporalScalar(nt.data(), nt.size());
-                v = t.vector.walkNonTemporalAvx512(nt.data(),
-                                                   nt.size());
-                ASSERT_EQ(s.l1Miss, v.l1Miss) << "batch " << batch;
-                ASSERT_EQ(s.l2Miss, v.l2Miss) << "batch " << batch;
-                ASSERT_EQ(s.llcMiss, v.llcMiss) << "batch " << batch;
+                walkBoth(t, nt, true);
             }
+            if (::testing::Test::HasFailure())
+                return;
         }
         expectSameState(t.scalar, t.vector);
         // The walks hit and missed at every level and filled L2's
@@ -260,6 +280,128 @@ TEST(MemHierarchy, VectorWalkMatchesScalarWalk)
             EXPECT_GT(c->stats().misses, 0u) << c->name();
         }
         EXPECT_GT(t.scalar.l2().stats().evictions, 0u);
+    }
+#endif
+}
+
+/**
+ * Lanes built against a level-at-a-time walk, on both presets, each
+ * walked twice (the second time warm) and every other one followed
+ * by a charge-style non-temporal walk: one address 192 times; for
+ * each level, one more line than the ways of that level and the
+ * levels before it, cycled through one set of it so that every
+ * lookup there evicts; two adjacent sets of each level alternating;
+ * a lane that L1 absorbs, so that the L2 and LLC passes are empty;
+ * a lane of lines never seen, which misses every level; and random
+ * lanes of 0, 1, 7, 8, 9, 191 and 192 addresses.  Both bodies must
+ * give the same counts and leave the same stats and tags.
+ */
+TEST(MemHierarchy, VectorWalkMatchesScalarWalkOnAdversarialLanes)
+{
+    if (!hostHasAvx512f())
+        GTEST_SKIP() << "the vector walk needs AVX-512F, which this "
+                        "host lacks";
+#if defined(__x86_64__)
+    for (const MachineConfig &cfg : {MachineConfig::corei7_920(),
+                                     MachineConfig::xeon8259cl()}) {
+        SCOPED_TRACE(cfg.name);
+        TwinHierarchies t(cfg);
+        ASSERT_TRUE(t.vector.vectorWalk());
+        const CacheGeometry *levels[] = {&cfg.l1d, &cfg.l2, &cfg.llc};
+        const Cache *scalarLevels[] = {&t.scalar.l1(), &t.scalar.l2(),
+                                       &t.scalar.llc()};
+        constexpr Addr base = 0x200000000ULL;
+        constexpr Addr scratch = 0xffff880000000000ULL;
+        std::uint64_t ntCursor = 0;
+        int walked = 0;
+        // Walk @p lane twice, and after every other lane a
+        // non-temporal walk.  Returns the counts of the second, warm
+        // walk and what the two added to each level's stats in the
+        // scalar twin.
+        struct Twice
+        {
+            WalkCounts warm;
+            CacheStats added[3];
+        };
+        auto twice = [&](const std::vector<Addr> &lane) {
+            Twice out;
+            CacheStats before[3];
+            for (int l = 0; l < 3; ++l)
+                before[l] = scalarLevels[l]->stats();
+            walkBoth(t, lane, false);
+            out.warm = walkBoth(t, lane, false);
+            for (int l = 0; l < 3; ++l) {
+                const CacheStats &now = scalarLevels[l]->stats();
+                out.added[l].hits = now.hits - before[l].hits;
+                out.added[l].misses = now.misses - before[l].misses;
+                out.added[l].evictions =
+                    now.evictions - before[l].evictions;
+            }
+            if (++walked % 2 == 0) {
+                std::vector<Addr> nt(96);
+                for (Addr &x : nt) {
+                    x = scratch + ntCursor * 64;
+                    ntCursor = (ntCursor + 1) % 1024;
+                }
+                walkBoth(t, nt, true);
+            }
+            return out;
+        };
+
+        {
+            SCOPED_TRACE("one address");
+            EXPECT_EQ(twice(std::vector<Addr>(192, base + 0x48))
+                          .warm.l1Miss,
+                      0u);
+        }
+        std::uint32_t ways = 0;
+        for (int level = 0; level < 3; ++level) {
+            SCOPED_TRACE("level " + std::to_string(level));
+            ways = std::max(ways, levels[level]->ways);
+            // Each level's lines in a region of their own.
+            const Addr region = base + (Addr(level + 1) << 36);
+            const Addr stride = levels[level]->sets() * 64;
+            // Whole rounds, so that the warm walk misses from its
+            // first lookup.
+            std::vector<Addr> cycle(192 - 192 % (ways + 1));
+            for (std::size_t i = 0; i < cycle.size(); ++i)
+                cycle[i] = region + (i % (ways + 1)) * stride;
+            // Every lookup missed at this level, and all but those
+            // that filled the set's empty ways evicted.
+            const CacheStats added = twice(cycle).added[level];
+            EXPECT_EQ(added.hits, 0u);
+            EXPECT_EQ(added.misses, 2 * cycle.size());
+            EXPECT_GE(added.evictions,
+                      added.misses - levels[level]->ways);
+
+            std::vector<Addr> alternate(192);
+            for (std::size_t i = 0; i < alternate.size(); ++i)
+                alternate[i] = region + 64 * (i % 2) +
+                               ((i / 2) % (ways + 2)) * stride;
+            twice(alternate);
+        }
+        {
+            SCOPED_TRACE("absorbed by L1");
+            std::vector<Addr> hot(192);
+            for (std::size_t i = 0; i < hot.size(); ++i)
+                hot[i] = base + 64 * ((i * 5) % 8) + i % 64;
+            EXPECT_EQ(twice(hot).warm.l1Miss, 0u);
+        }
+        {
+            SCOPED_TRACE("never seen");
+            std::vector<Addr> cold(192);
+            for (std::size_t i = 0; i < cold.size(); ++i)
+                cold[i] = (Addr(3) << 40) + i * 64;
+            const WalkCounts c = walkBoth(t, cold, false);
+            EXPECT_EQ(c.llcMiss, cold.size());
+        }
+        LaneSource src;
+        for (std::size_t n : {0, 1, 7, 8, 9, 191, 192}) {
+            SCOPED_TRACE("length " + std::to_string(n));
+            for (int pattern = 0; pattern < 3; ++pattern)
+                twice(src.batch(pattern, n));
+        }
+        expectSameState(t.scalar, t.vector);
     }
 #endif
 }
